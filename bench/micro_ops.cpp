@@ -257,14 +257,18 @@ void BM_EventQueueFatHeap(benchmark::State& state) {
 BENCHMARK(BM_EventQueueFatHeap)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_EventQueueTwoTier(benchmark::State& state) {
+  // Same workload, with the engine's content-addressed ordering keys
+  // (random origin << 40 | counter): same-tick pushes arrive out of key
+  // order, so the per-bucket lazy sort does real work.
   const auto live = static_cast<std::size_t>(state.range(0));
   Rng rng(12);
   TwoTierQueue queue;
-  std::uint64_t seq = 0;
+  std::uint64_t counter = 0;
+  const auto key = [&rng, &counter, live] { return (rng.below(live) << 40) | counter++; };
   for (std::size_t i = 0; i < live; ++i) {
     SlimEvent ev{};
     ev.time = rng.below(kDelta);
-    ev.seq = seq++;
+    ev.seq = key();
     queue.push(ev);
   }
   for (auto _ : state) {
@@ -272,7 +276,7 @@ void BM_EventQueueTwoTier(benchmark::State& state) {
     queue.pop_if_at_most(~SimTime{0}, ev);
     SlimEvent next{};
     next.time = ev.time + 1 + rng.below(kDelta);
-    next.seq = seq++;
+    next.seq = key();
     queue.push(next);
     benchmark::DoNotOptimize(ev.time);
   }
@@ -342,11 +346,16 @@ void BM_CreateMessageSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_CreateMessageSteadyState);
 
-// Full engine send→dispatch round trip, quantifying the observability hook
-// overhead (docs/observability.md quotes these numbers). Arg(0): null trace
-// sink — the production default, where every hook is one pointer test.
-// Arg(1): a minimal counting sink installed, paying the virtual record()
-// call per hook.
+// Full engine send→window→dispatch round trip, quantifying the window
+// machinery and the observability hook overhead (docs/observability.md
+// quotes these numbers). First arg: shard count K. K=1: both nodes live in
+// the single shard (no mailbox, inline crew). K=2: sender and receiver on
+// different shards, so every message crosses a mailbox and each window pays
+// a real crew round. Second arg: 0 = null trace sink (the production
+// default, where every hook is one pointer test); 1 = a minimal counting
+// sink, paying the virtual record() call per hook. At K=1 only one lane
+// ever records, so the hook takes the lock-free branch; at K=2 it pays the
+// trace mutex, so the traced K=2 minus K=1 overhead is the lock's price.
 struct CountingTraceSink final : obs::TraceSink {
   std::uint64_t records = 0;
   void record(const obs::TraceRecord&) override { ++records; }
@@ -355,7 +364,7 @@ struct CountingTraceSink final : obs::TraceSink {
 struct SinkProtocol final : Protocol {};
 
 void BM_EngineSendDispatch(benchmark::State& state) {
-  Engine engine(13);
+  Engine engine(13, TransportConfig{}, static_cast<std::size_t>(state.range(0)));
   const Address a = engine.add_node(1);
   const Address b = engine.add_node(2);
   engine.attach(a, std::make_unique<SinkProtocol>());
@@ -364,7 +373,7 @@ void BM_EngineSendDispatch(benchmark::State& state) {
   engine.start_node(b);
   engine.run_all();
   CountingTraceSink sink;
-  if (state.range(0) != 0) engine.set_trace_sink(&sink);
+  if (state.range(1) != 0) engine.set_trace_sink(&sink);
   for (auto _ : state) {
     engine.send_message(a, b, 0, std::make_unique<BenchPayload>());
     engine.run_all();
@@ -372,11 +381,11 @@ void BM_EngineSendDispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EngineSendDispatch)->Arg(0)->Arg(1);
+BENCHMARK(BM_EngineSendDispatch)->Args({1, 0})->Args({1, 1})->Args({2, 0})->Args({2, 1});
 
 // ---------------------------------------------------------------------------
-// Sharded-engine primitives (docs/architecture.md#sharded-execution): the
-// per-window costs the conservative time window must amortize.
+// Window primitives (docs/architecture.md#sharded-execution): the per-window
+// costs the conservative time window must amortize.
 
 void BM_WindowCrewRound(benchmark::State& state) {
   // One empty window round: wake the K-1 workers, run a no-op lane each,
@@ -400,7 +409,6 @@ void BM_CrossShardMailbox(benchmark::State& state) {
   };
   const auto batch = static_cast<std::size_t>(state.range(0));
   TwoTierQueue queue;
-  queue.set_keyed_ordering(true);
   SlotPool<PayloadRef> pool;
   std::vector<MailboxEntry> mailbox;
   mailbox.reserve(batch);
@@ -411,7 +419,7 @@ void BM_CrossShardMailbox(benchmark::State& state) {
     for (std::size_t i = 0; i < batch; ++i) {
       SlimEvent ev{};
       ev.time = now + 10;
-      ev.seq = counter++;  // content-addressed key, as in the sharded engine
+      ev.seq = counter++;  // content-addressed key, as in the engine
       ev.kind = EventKind::Message;
       mailbox.push_back(MailboxEntry{ev, shared});
     }
@@ -430,56 +438,6 @@ void BM_CrossShardMailbox(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_CrossShardMailbox)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_ShardedSendDispatch(benchmark::State& state) {
-  // Full sharded send→window→dispatch round trip. Arg(1): both nodes live in
-  // the single shard (no mailbox, inline crew). Arg(2): sender and receiver
-  // on different shards, so every message crosses a mailbox and each window
-  // pays a real crew round. The delta against BM_EngineSendDispatch is the
-  // total window-machinery overhead per message.
-  Engine engine(13, TransportConfig{}, static_cast<std::size_t>(state.range(0)));
-  const Address a = engine.add_node(1);
-  const Address b = engine.add_node(2);
-  engine.attach(a, std::make_unique<SinkProtocol>());
-  engine.attach(b, std::make_unique<SinkProtocol>());
-  engine.start_node(a);
-  engine.start_node(b);
-  engine.run_all();
-  for (auto _ : state) {
-    engine.send_message(a, b, 0, std::make_unique<BenchPayload>());
-    engine.run_all();
-    benchmark::DoNotOptimize(engine.events_dispatched());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ShardedSendDispatch)->Arg(1)->Arg(2);
-
-void BM_ShardedSendDispatchTraced(benchmark::State& state) {
-  // BM_ShardedSendDispatch with a trace sink installed — the cost of a
-  // recorded hook per message on the sharded engine. At K=1 the crew runs
-  // inline and only one lane ever records, so trace_message takes the
-  // lock-free branch (shards_ > 1 gates the mutex); the delta against
-  // BM_ShardedSendDispatch/1 is the pure record() cost, matching the serial
-  // engine's BM_EngineSendDispatch/1 delta. At K=2 the same hook pays the
-  // trace mutex, so /2 minus /1 overhead is the lock's price per record.
-  Engine engine(13, TransportConfig{}, static_cast<std::size_t>(state.range(0)));
-  const Address a = engine.add_node(1);
-  const Address b = engine.add_node(2);
-  engine.attach(a, std::make_unique<SinkProtocol>());
-  engine.attach(b, std::make_unique<SinkProtocol>());
-  engine.start_node(a);
-  engine.start_node(b);
-  engine.run_all();
-  CountingTraceSink sink;
-  engine.set_trace_sink(&sink);
-  for (auto _ : state) {
-    engine.send_message(a, b, 0, std::make_unique<BenchPayload>());
-    engine.run_all();
-    benchmark::DoNotOptimize(engine.events_dispatched());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ShardedSendDispatchTraced)->Arg(1)->Arg(2);
 
 void BM_PayloadMakeUniqueBaseline(benchmark::State& state) {
   // Baseline for BM_PayloadPoolStoreTake: the allocation alone, without the

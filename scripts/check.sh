@@ -23,9 +23,9 @@ case "${sanitizer}" in
   ubsan) san_flags="undefined" ;;
   tsan)
     san_flags="thread"
-    # The serial tests exercise no threads, and golden replays take far too
-    # long under TSan's instrumentation; target the code that actually runs
-    # worker crews. ThreadPool/ParallelFor/ParallelMap cover the thread-pool
+    # Tests at the default K=1 run inline and exercise no threads, and golden
+    # replays take far too long under TSan's instrumentation; target the
+    # code that actually runs multi-lane worker crews. ThreadPool/ParallelFor/ParallelMap cover the thread-pool
     # utilities (tests/test_parallel.cpp), ParallelEngine the sharded window
     # engine (tests/test_parallel_engine.cpp — cross-K determinism under
     # real thread interleaving is exactly what TSan stresses), WindowCrew

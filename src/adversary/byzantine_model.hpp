@@ -12,9 +12,10 @@
 // happens to parse can never smuggle an out-of-range address into a
 // victim's tables.
 //
-// All randomness comes from a private Rng seeded by the plan, so the same
-// plan replays identically over any base trajectory and across bench
-// --threads settings. With no plan installed the engine's tamper hook is a
+// The adversary set and the sybil pools come from a private Rng seeded by
+// the plan; per-message tamper draws come from the sender's transport
+// stream, so the same plan replays identically across bench --threads and
+// --shards settings. With no plan installed the engine's tamper hook is a
 // no-op and the simulation stays bit-identical — the golden replays pin
 // this down. Chains an already-installed FaultModel (e.g. a FaultInjector):
 // on_send and dark_until delegate, so crash plans compose with adversaries.
@@ -59,24 +60,15 @@ class ByzantineModel : public FaultModel {
   double controlled_fraction(const DescriptorList& entries) const;
 
   // --- FaultModel ---------------------------------------------------------
-  SendDecision on_send(SimTime now, Address from, Address to) override;
+  // Randomness comes from the sending node's transport stream `rng` (shard-
+  // count independent; the model's own state stays read-only inside
+  // windows). The chained inner model sees the same stream.
+  SendDecision on_send(SimTime now, Address from, Address to, Rng& rng) override;
   SimTime dark_until(SimTime now, Address addr) const override;
-  /// Serial path: draws from the model's private plan-seeded rng_.
-  TamperVerdict on_payload(SimTime now, Address from, Address to,
-                           const Payload& payload) override;
-  /// Sharded path: identical tamper logic, but randomness comes from the
-  /// sending node's transport stream (shard-count independent; the model's
-  /// own state stays read-only inside windows). The sharded engine calls
-  /// these; the chained inner model is delegated through its own _rng hooks.
-  SendDecision on_send_rng(SimTime now, Address from, Address to, Rng& rng) override;
-  TamperVerdict on_payload_rng(SimTime now, Address from, Address to,
-                               const Payload& payload, Rng& rng) override;
+  TamperVerdict on_payload(SimTime now, Address from, Address to, const Payload& payload,
+                           Rng& rng) override;
 
  private:
-  /// The tamper core shared by both on_payload paths; `rng` is the model's
-  /// private stream (serial) or the sender's transport stream (sharded).
-  TamperVerdict tamper(SimTime now, Address from, Address to, const Payload& payload,
-                       Rng& rng);
   /// An ID sharing a long prefix with `victim` (low bits re-randomized).
   NodeId near_id(NodeId victim, Rng& rng);
   /// 1–3 bit flips on the encoded frame; Corrupt when the mutant no longer

@@ -4,8 +4,8 @@
 // transmitted message) and by the dispatcher at delivery time (dark-node
 // query). The engine holds a raw pointer defaulting to nullptr; with no
 // model installed every hook is a single pointer test and the simulation is
-// bit-identical to the pre-fault engine — the golden-replay witnesses pin
-// this down. The scripted implementation (FaultInjector, driven by a
+// bit-identical to a fault-free run — the golden-replay witnesses pin this
+// down. The scripted implementation (FaultInjector, driven by a
 // FaultPlan) lives in fault_injector.hpp; this header is the only part of
 // src/fault the engine depends on.
 #pragma once
@@ -20,9 +20,15 @@
 namespace bsvc {
 
 /// Interface consulted by Engine::send_message and Engine::dispatch.
-/// Implementations own their randomness (typically a dedicated Rng seeded
-/// from the plan) so fault decisions never perturb the engine or node RNG
-/// streams of the underlying trajectory.
+///
+/// Send-time hooks run on shard worker lanes, concurrently for senders on
+/// different shards. Every random draw must come from the `rng` they are
+/// handed (the sending node's private transport stream), so a verdict is a
+/// pure function of (trajectory, sender stream) and identical for every
+/// shard count; the sender's protocol stream and the engine stream are
+/// never touched. Plan lookups and metric counters are fine (the plan is
+/// immutable while a window runs; counters are atomic); other shared
+/// mutable model state is off limits.
 class FaultModel {
  public:
   /// Verdict for one message about to enter the transport.
@@ -46,20 +52,8 @@ class FaultModel {
   virtual ~FaultModel() = default;
 
   /// Consulted once per send, after the link filter and before the base
-  /// drop model. May mutate internal state (RNG, counters).
-  virtual SendDecision on_send(SimTime now, Address from, Address to) = 0;
-
-  /// Sharded-engine variant of on_send: every random draw must come from
-  /// `rng` (the sending node's private transport stream) instead of model-
-  /// owned state, so the verdict is a pure function of (trajectory, sender
-  /// stream) and identical for every shard count. Plan lookups and metric
-  /// counters may still be touched — both are safe from shard workers (the
-  /// plan is immutable while a window runs; counters are atomic). Defaults
-  /// to the serial hook for models that are never run sharded.
-  virtual SendDecision on_send_rng(SimTime now, Address from, Address to, Rng& rng) {
-    (void)rng;
-    return on_send(now, from, to);
-  }
+  /// drop model.
+  virtual SendDecision on_send(SimTime now, Address from, Address to, Rng& rng) = 0;
 
   /// If `addr` is dark (crashed-but-recovering) at `now`, returns the
   /// recovery time (> now); otherwise 0. While dark a node keeps its state:
@@ -87,24 +81,15 @@ class FaultModel {
   /// letting a model act on message *content* — the hook Byzantine behavior
   /// models build on (descriptor poisoning, reply suppression, wire
   /// corruption). Benign models inherit this no-op, so the scripted
-  /// FaultInjector and the null model stay bit-identical to the pre-tamper
-  /// engine.
+  /// FaultInjector draws nothing here.
   virtual TamperVerdict on_payload(SimTime now, Address from, Address to,
-                                   const Payload& payload) {
+                                   const Payload& payload, Rng& rng) {
     (void)now;
     (void)from;
     (void)to;
     (void)payload;
-    return {};
-  }
-
-  /// Sharded-engine variant of on_payload, same contract as on_send_rng:
-  /// draws come from the sender's stream, shared mutable model state is off
-  /// limits. Defaults to the serial hook.
-  virtual TamperVerdict on_payload_rng(SimTime now, Address from, Address to,
-                                       const Payload& payload, Rng& rng) {
     (void)rng;
-    return on_payload(now, from, to, payload);
+    return {};
   }
 };
 

@@ -36,12 +36,16 @@ void AggregationProtocol::on_message(Context& ctx, Address from, const Payload& 
     BSVC_WARN("aggregation: unexpected payload type %s", payload.type_name());
     return;
   }
-  if (msg->is_request) {
-    // Answer with the pre-averaging value so both sides converge to the same
-    // mean even though the messages cross.
-    ctx.send(from, std::make_unique<AggregationMessage>(value_, /*is_request=*/false));
+  if (!msg->is_request) {
+    // The answer carries the transfer the responder already applied with the
+    // opposite sign, so the pair's sum is conserved even when the initiator's
+    // value moved (another exchange) while its request was in flight.
+    value_ += msg->value;
+    return;
   }
-  value_ = (value_ + msg->value) / 2.0;
+  const double transfer = (value_ - msg->value) / 2.0;
+  value_ -= transfer;
+  ctx.send(from, std::make_unique<AggregationMessage>(transfer, /*is_request=*/false));
 }
 
 }  // namespace bsvc

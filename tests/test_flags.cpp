@@ -98,6 +98,18 @@ TEST(FlagsDeathTest, BogusLogLevelIsAFlagError) {
       testing::ExitedWithCode(2), "invalid --log-level");
 }
 
+TEST(Flags, ShardsDefaultToOne) {
+  EXPECT_EQ(bench::shards_flag(make_flags({})), 1u);
+  EXPECT_EQ(bench::shards_flag(make_flags({"--shards=3"})), 3u);
+}
+
+TEST(FlagsDeathTest, NonPositiveShardsIsAFlagError) {
+  EXPECT_EXIT(bench::shards_flag(make_flags({"--shards=0"})), testing::ExitedWithCode(2),
+              "invalid --shards");
+  EXPECT_EXIT(bench::shards_flag(make_flags({"--shards=-3"})), testing::ExitedWithCode(2),
+              "invalid --shards");
+}
+
 TEST(FlagsDeathTest, UnknownFlagRejectedByFinish) {
   EXPECT_EXIT(
       {
