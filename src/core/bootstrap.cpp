@@ -278,8 +278,8 @@ void BootstrapProtocol::maintenance_step(Context& ctx) {
     NodeDescriptor lru{0, kNullAddress};
     SimTime oldest = ~SimTime{0};
     for (const auto& d : leaf_->all_view()) {
-      const auto it = last_heard_.find(d.addr);
-      const SimTime heard = it == last_heard_.end() ? 0 : it->second;
+      const SimTime* heard_at = last_heard_.find(d.addr);
+      const SimTime heard = heard_at == nullptr ? 0 : *heard_at;
       if (heard < oldest) {
         oldest = heard;
         lru = d;
@@ -295,8 +295,8 @@ void BootstrapProtocol::maintenance_step(Context& ctx) {
   for (std::size_t i = 0; i < kPrefixProbesPerCycle && !entries.empty(); ++i) {
     prefix_probe_cursor_ = (prefix_probe_cursor_ + 1) % entries.size();
     const NodeDescriptor& d = entries[prefix_probe_cursor_];
-    const auto it = last_heard_.find(d.addr);
-    if (it == last_heard_.end() || now - it->second >= 2 * config_.delta) send_probe(ctx, d);
+    const SimTime* heard_at = last_heard_.find(d.addr);
+    if (heard_at == nullptr || now - *heard_at >= 2 * config_.delta) send_probe(ctx, d);
   }
 
   // 4. Probe-before-trust: a couple of quarantined descriptors per cycle
@@ -521,8 +521,8 @@ void BootstrapProtocol::on_message(Context& ctx, Address from, const Payload& pa
       mark_suspect(from);
       return;
     }
-    const auto pin = pinned_.find(from);
-    if (pin != pinned_.end() && pin->second != msg->sender.id) {
+    const NodeId* pin = pinned_.find(from);
+    if (pin != nullptr && *pin != msg->sender.id) {
       if (ctr_sanity_rejected_ != nullptr) ctr_sanity_rejected_->inc();
       mark_suspect(from);
       return;
@@ -563,10 +563,10 @@ bool BootstrapProtocol::raise_suspicion(Address addr) {
 }
 
 void BootstrapProtocol::decay_suspicion(Address addr) {
-  const auto it = suspicion_.find(addr);
-  if (it == suspicion_.end()) return;
+  int* level = suspicion_.find(addr);
+  if (level == nullptr) return;
   if (ctr_suspect_decayed_ != nullptr) ctr_suspect_decayed_->inc();
-  if (--it->second <= 0) suspicion_.erase(it);
+  if (--*level <= 0) suspicion_.erase(addr);
 }
 
 void BootstrapProtocol::condemn(NodeId id, SimTime now) {
@@ -646,8 +646,8 @@ void BootstrapProtocol::update_from(const BootstrapMessage& msg, Address from) {
                                       }
                                       return true;
                                     }
-                                    const auto pin = pinned_.find(d.addr);
-                                    if (pin != pinned_.end() && pin->second != d.id) {
+                                    const NodeId* pin = pinned_.find(d.addr);
+                                    if (pin != nullptr && *pin != d.id) {
                                       if (ctr_pin_mismatch_ != nullptr) {
                                         ctr_pin_mismatch_->inc();
                                       }
@@ -659,14 +659,14 @@ void BootstrapProtocol::update_from(const BootstrapMessage& msg, Address from) {
     // A peer caught lying gets no direct say anymore: its contributions go
     // to the quarantine and enter the tables only after a probe echo
     // confirms each binding (probe-before-trust).
-    if (probing_defense() && suspects_.count(from) != 0) {
+    if (probing_defense() && suspects_.contains(from)) {
       for (const auto& d : combined) quarantine(d);
       return;
     }
     // Bounded provenance: remember who first vouched for each address, so a
     // later catch can purge the liar's plantings.
     if (contributed_by_.size() < kProvenanceCap) {
-      for (const auto& d : combined) contributed_by_.emplace(d.addr, from);
+      for (const auto& d : combined) contributed_by_.try_emplace(d.addr, from);
     }
   }
   leaf_->update(combined);
@@ -685,8 +685,7 @@ void BootstrapProtocol::on_probe_echo(Context& /*ctx*/, Address from, NodeId ech
     // and stop trusting whoever planted it.
     if (ctr_pin_mismatch_ != nullptr) ctr_pin_mismatch_->inc();
     condemn(believed->id, now_);
-    const auto planter = contributed_by_.find(from);
-    if (planter != contributed_by_.end()) mark_suspect(planter->second);
+    if (const Address* planter = contributed_by_.find(from)) mark_suspect(*planter);
   }
   // The echo also tells us the true descriptor of the responder — adopt it
   // (unless it is tombstoned, e.g. a recently condemned flapper).
@@ -709,18 +708,17 @@ void BootstrapProtocol::on_probe_echo(Context& /*ctx*/, Address from, NodeId ech
 }
 
 void BootstrapProtocol::mark_suspect(Address peer) {
-  if (peer == kNullAddress || suspects_.count(peer) != 0) return;
-  suspects_.insert(peer);
+  if (peer == kNullAddress || !suspects_.try_emplace(peer).second) return;
   if (leaf_.has_value()) {
     // Purge the liar's unverified plantings: table entries whose address it
     // vouched for and whose binding no probe echo has confirmed. Local
     // removal only — no tombstones, because the liar may have relayed some
     // honest descriptors and spreading certificates would amplify the lie.
     for (const auto& d : leaf_->all()) {
-      const auto it = contributed_by_.find(d.addr);
-      if (it == contributed_by_.end() || it->second != peer) continue;
-      const auto pin = pinned_.find(d.addr);
-      if (pin != pinned_.end() && pin->second == d.id) continue;
+      const Address* planter = contributed_by_.find(d.addr);
+      if (planter == nullptr || *planter != peer) continue;
+      const NodeId* pin = pinned_.find(d.addr);
+      if (pin != nullptr && *pin == d.id) continue;
       leaf_->remove(d.id);
       prefix_->remove(d.id);
       if (ctr_q_rejected_ != nullptr) ctr_q_rejected_->inc();
@@ -730,8 +728,7 @@ void BootstrapProtocol::mark_suspect(Address peer) {
 
 void BootstrapProtocol::quarantine(const NodeDescriptor& d) {
   if (d.addr == kNullAddress || d.addr == self_.addr) return;
-  const auto pin = pinned_.find(d.addr);
-  if (pin != pinned_.end()) return;  // already settled, either way
+  if (pinned_.contains(d.addr)) return;  // already settled, either way
   if (quarantine_.size() >= kQuarantineCap) return;
   if (quarantine_.emplace(d.addr, d).second && ctr_q_held_ != nullptr) {
     ctr_q_held_->inc();

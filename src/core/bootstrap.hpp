@@ -16,9 +16,9 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/arena.hpp"
+#include "common/flat_map.hpp"
 #include "common/pool.hpp"
 #include "common/rtt.hpp"
 #include "common/stats.hpp"
@@ -263,7 +263,7 @@ class BootstrapProtocol final : public Protocol {
   bool probe_answered_ = true;
   // Maintenance loop state (extension): when each table entry was last
   // heard from, probes awaiting an echo, and the prefix-sweep cursor.
-  std::unordered_map<Address, SimTime> last_heard_;
+  FlatMap<Address, SimTime, kNullAddress> last_heard_;
   struct OutstandingProbe {
     NodeDescriptor target;
     SimTime sent = 0;
@@ -289,7 +289,7 @@ class BootstrapProtocol final : public Protocol {
   // Suspicion level per address. Raised one unit per unanswered exchange or
   // silent probe round, lowered one unit per message heard; reaching the
   // threshold condemns. Bounded: entries leave on decay-to-zero or condemn.
-  std::unordered_map<Address, int> suspicion_;
+  FlatMap<Address, int, kNullAddress> suspicion_;
   /// Adds one suspicion unit; returns true when the threshold is reached
   /// (the caller condemns).
   bool raise_suspicion(Address addr);
@@ -351,12 +351,13 @@ class BootstrapProtocol final : public Protocol {
 
   // Address→ID bindings confirmed by probe echoes (ground truth under the
   // "addresses are unforgeable" transport assumption).
-  std::unordered_map<Address, NodeId> pinned_;
-  // Peers caught lying; their future contributions are quarantined.
-  std::unordered_set<Address> suspects_;
+  FlatMap<Address, NodeId, kNullAddress> pinned_;
+  // Peers caught lying; their future contributions are quarantined. A set:
+  // only key membership is read.
+  FlatMap<Address, bool, kNullAddress> suspects_;
   // Descriptor address -> the peer that first contributed it (bounded
   // provenance, enough to purge a liar's plantings when it is caught).
-  std::unordered_map<Address, Address> contributed_by_;
+  FlatMap<Address, Address, kNullAddress> contributed_by_;
   // Quarantined descriptors awaiting a confirming probe echo.
   std::unordered_map<Address, NodeDescriptor> quarantine_;
   static constexpr std::size_t kQuarantineCap = 64;

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "adversary/byzantine_model.hpp"
 #include "bench/bench_common.hpp"
 #include "common/rng.hpp"
 #include "core/experiment.hpp"
@@ -276,6 +277,79 @@ TEST(GoldenReplay, Churn256) {
                             .messages_sent = 19580,
                             .messages_delivered = 18929,
                             .bytes_sent = 14905000});
+}
+
+// The liveness and hardening paths: loss drives exchange timeouts, probes and
+// death certificates; poisoners and spoofers drive pins, suspects and the
+// quarantine. Certificate selection and the quarantine probe order both
+// shape this trajectory.
+struct HardenedWitness {
+  Golden golden;
+  std::uint64_t dropped;
+  std::uint64_t condemned;
+  std::uint64_t quarantine_held;
+  std::uint64_t quarantine_promoted;
+};
+
+HardenedWitness run_hardened256(std::size_t shards) {
+  ExperimentConfig cfg;
+  cfg.n = 256;
+  cfg.seed = 17;
+  cfg.shards = shards;
+  cfg.max_cycles = 25;
+  cfg.drop_probability = 0.2;
+  cfg.stop_at_convergence = false;
+  cfg.bootstrap.evict_unresponsive = true;
+  cfg.bootstrap.harden = true;
+  cfg.newscast.harden = true;
+  apply_env_obs(cfg, "hardened256");
+  BootstrapExperiment exp(cfg);
+  AdversaryPlan plan;
+  plan.fraction = 0.05;
+  plan.window.start = cfg.warmup_cycles * cfg.bootstrap.delta;
+  plan.poison = true;
+  plan.spoof = true;
+  const auto model = install_adversary_plan(exp.engine(), plan);
+  const auto r = exp.run();
+  obs::MetricsRegistry& m = exp.engine().metrics();
+  return {.golden = {.hash = series_hash(r),
+                     .rows = r.series.rows(),
+                     .converged = r.converged_cycle,
+                     .messages_sent = r.traffic_during_bootstrap.messages_sent,
+                     .messages_delivered = r.traffic_during_bootstrap.messages_delivered,
+                     .bytes_sent = r.traffic_during_bootstrap.bytes_sent},
+          .dropped = r.traffic_during_bootstrap.messages_dropped,
+          .condemned = m.counter("bootstrap.condemned").value(),
+          .quarantine_held = m.counter("quarantine.held").value(),
+          .quarantine_promoted = m.counter("quarantine.promoted").value()};
+}
+
+void expect_hardened(const HardenedWitness& got, const HardenedWitness& want) {
+  EXPECT_EQ(got.golden.hash, want.golden.hash);
+  EXPECT_EQ(got.golden.rows, want.golden.rows);
+  EXPECT_EQ(got.golden.converged, want.golden.converged);
+  EXPECT_EQ(got.golden.messages_sent, want.golden.messages_sent);
+  EXPECT_EQ(got.golden.messages_delivered, want.golden.messages_delivered);
+  EXPECT_EQ(got.golden.bytes_sent, want.golden.bytes_sent);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.condemned, want.condemned);
+  EXPECT_EQ(got.quarantine_held, want.quarantine_held);
+  EXPECT_EQ(got.quarantine_promoted, want.quarantine_promoted);
+}
+
+TEST(GoldenReplay, Hardened256) {
+  const HardenedWitness want{.golden = {.hash = 0x73c4878dbb22d158ull,
+                                        .rows = 25,
+                                        .converged = -1,
+                                        .messages_sent = 88124,
+                                        .messages_delivered = 70338,
+                                        .bytes_sent = 24232894},
+                             .dropped = 17552,
+                             .condemned = 1607,
+                             .quarantine_held = 8690,
+                             .quarantine_promoted = 4219};
+  expect_hardened(run_hardened256(1), want);
+  expect_hardened(run_hardened256(4), want);
 }
 
 TEST(GoldenReplay, Plain256WithTracingAttached) {
