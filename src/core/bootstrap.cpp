@@ -247,13 +247,9 @@ void BootstrapProtocol::maintenance_step(Context& ctx) {
       if (evict) {
         condemn(it->target.id, now);
         last_heard_.erase(it->target.addr);
-        if (config_.harden) {
-          // A silent quarantined address never gets promoted.
-          const auto q = quarantine_.find(it->target.addr);
-          if (q != quarantine_.end()) {
-            quarantine_.erase(q);
-            if (ctr_q_rejected_ != nullptr) ctr_q_rejected_->inc();
-          }
+        // A silent quarantined address never gets promoted.
+        if (config_.harden && take_quarantined(it->target.addr) && ctr_q_rejected_ != nullptr) {
+          ctr_q_rejected_->inc();
         }
         it = outstanding_probes_.erase(it);
         continue;
@@ -264,10 +260,8 @@ void BootstrapProtocol::maintenance_step(Context& ctx) {
     }
     ++it;
   }
-  // Lazily drop expired certificates so the map stays bounded.
-  for (auto it = tombstones_.begin(); it != tombstones_.end();) {
-    it = it->second <= now ? tombstones_.erase(it) : std::next(it);
-  }
+  // Drop expired certificates so the table stays bounded.
+  if (tombstone_min_expiry_ <= now) sweep_tombstones(now);
   // 1b. An unanswered gossip exchange is a liveness hint: verify via the
   // retrying probe path instead of condemning outright.
   if (!probe_answered_ && probe_peer_.addr != kNullAddress) send_probe(ctx, probe_peer_);
@@ -299,14 +293,15 @@ void BootstrapProtocol::maintenance_step(Context& ctx) {
     if (heard_at == nullptr || now - *heard_at >= 2 * config_.delta) send_probe(ctx, d);
   }
 
-  // 4. Probe-before-trust: a couple of quarantined descriptors per cycle
-  // get a verifying probe; the echo promotes or rejects them (on_probe_echo).
+  // 4. Probe-before-trust: the two oldest quarantined descriptors not
+  // already being probed get a verifying probe; the echo promotes or
+  // rejects them (on_probe_echo).
   if (config_.harden) {
     constexpr std::size_t kQuarantineProbesPerCycle = 2;
     std::size_t sent = 0;
-    for (const auto& [addr, d] : quarantine_) {
+    for (const NodeDescriptor& d : quarantine_) {
       if (sent >= kQuarantineProbesPerCycle) break;
-      if (already_probing(addr)) continue;
+      if (already_probing(d.addr)) continue;
       send_probe(ctx, d);
       ++sent;
     }
@@ -458,10 +453,13 @@ std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_
     for (std::size_t i = take_p; i < pred.size(); ++i) consider(pred[i]);
   }
   if (config_.evict_unresponsive && !tombstones_.empty()) {
-    for (const auto& [id, expiry] : tombstones_) {
-      if (expiry <= now_) continue;
-      msg->tombstones.push_back({id, expiry});
-      if (msg->tombstones.size() >= BootstrapMessage::kMaxTombstonesPerMessage) break;
+    // The newest unexpired certificates, newest first.
+    constexpr std::size_t kMax = BootstrapMessage::kMaxTombstonesPerMessage;
+    msg->tombstones.reserve(kMax);
+    for (auto it = tombstones_.rbegin(); it != tombstones_.rend(); ++it) {
+      if (it->expiry <= now_) continue;
+      msg->tombstones.push_back(*it);
+      if (msg->tombstones.size() >= kMax) break;
     }
   }
   if (stats_ != nullptr) {
@@ -578,25 +576,61 @@ void BootstrapProtocol::condemn(NodeId id, SimTime now) {
   if (ctr_condemned_ != nullptr) ctr_condemned_->inc();
   leaf_->remove(id);
   prefix_->remove(id);
-  const SimTime expiry = now + config_.tombstone_ttl_cycles * config_.delta;
-  auto& slot = tombstones_[id];
-  slot = std::max(slot, expiry);
+  put_tombstone(id, now + config_.tombstone_ttl_cycles * config_.delta, now);
+}
+
+bool BootstrapProtocol::put_tombstone(NodeId id, SimTime expiry, SimTime now) {
+  if (expiry <= now) return false;
+  const auto pos = static_cast<std::uint32_t>(tombstones_.size());
+  const auto [at, inserted] = tombstone_index_.try_emplace(id, pos);
+  if (!inserted) {
+    Tombstone& live = tombstones_[*at];
+    if (live.expiry > now) {
+      if (expiry <= live.expiry) return false;
+      live.expiry = expiry;  // extended in place: keeps its first-insertion rank
+      return true;
+    }
+    live.expiry = 0;  // expired, not yet swept: re-inserted as the newest
+    tombstone_min_expiry_ = 0;
+    *at = pos;
+  }
+  tombstones_.push_back({id, expiry});
+  tombstone_min_expiry_ = std::min(tombstone_min_expiry_, expiry);
+  return true;
+}
+
+void BootstrapProtocol::sweep_tombstones(SimTime now) {
+  std::size_t kept = 0;
+  SimTime min_expiry = ~SimTime{0};
+  for (std::size_t i = 0; i < tombstones_.size(); ++i) {
+    const Tombstone ts = tombstones_[i];
+    if (ts.expiry <= now) {
+      // Expiry 0 marks a superseded position: the index already points at
+      // the id's newer entry.
+      if (ts.expiry != 0) tombstone_index_.erase(ts.id);
+      continue;
+    }
+    if (kept != i) {
+      tombstones_[kept] = ts;
+      *tombstone_index_.find(ts.id) = static_cast<std::uint32_t>(kept);
+    }
+    ++kept;
+    min_expiry = std::min(min_expiry, ts.expiry);
+  }
+  tombstones_.resize(kept);
+  tombstone_min_expiry_ = min_expiry;
 }
 
 bool BootstrapProtocol::is_tombstoned(NodeId id, SimTime now) const {
-  const auto it = tombstones_.find(id);
-  return it != tombstones_.end() && it->second > now;
+  const std::uint32_t* at = tombstone_index_.find(id);
+  return at != nullptr && tombstones_[*at].expiry > now;
 }
 
 void BootstrapProtocol::adopt_tombstones(const std::vector<Tombstone>& incoming, SimTime now) {
   for (const auto& ts : incoming) {
-    if (ts.expiry <= now || ts.id == self_.id) continue;
-    auto& slot = tombstones_[ts.id];
-    if (ts.expiry > slot) {
-      slot = ts.expiry;
-      if (leaf_) leaf_->remove(ts.id);
-      if (prefix_) prefix_->remove(ts.id);
-    }
+    if (ts.id == self_.id || !put_tombstone(ts.id, ts.expiry, now)) continue;
+    if (leaf_) leaf_->remove(ts.id);
+    if (prefix_) prefix_->remove(ts.id);
   }
 }
 
@@ -696,15 +730,19 @@ void BootstrapProtocol::on_probe_echo(Context& /*ctx*/, Address from, NodeId ech
   }
   // Settle a quarantined entry for this address: promote on a matching
   // echo, reject on a contradiction.
-  const auto q = quarantine_.find(from);
-  if (q != quarantine_.end()) {
-    if (q->second.id == echoed_id) {
-      if (ctr_q_promoted_ != nullptr) ctr_q_promoted_->inc();
-    } else if (ctr_q_rejected_ != nullptr) {
-      ctr_q_rejected_->inc();
-    }
-    quarantine_.erase(q);
+  if (const auto q = take_quarantined(from)) {
+    obs::Counter* outcome = q->id == echoed_id ? ctr_q_promoted_ : ctr_q_rejected_;
+    if (outcome != nullptr) outcome->inc();
   }
+}
+
+std::optional<NodeDescriptor> BootstrapProtocol::take_quarantined(Address addr) {
+  const auto it = std::find_if(quarantine_.begin(), quarantine_.end(),
+                               [addr](const NodeDescriptor& d) { return d.addr == addr; });
+  if (it == quarantine_.end()) return std::nullopt;
+  const NodeDescriptor d = *it;
+  quarantine_.erase(it);
+  return d;
 }
 
 void BootstrapProtocol::mark_suspect(Address peer) {
@@ -730,9 +768,12 @@ void BootstrapProtocol::quarantine(const NodeDescriptor& d) {
   if (d.addr == kNullAddress || d.addr == self_.addr) return;
   if (pinned_.contains(d.addr)) return;  // already settled, either way
   if (quarantine_.size() >= kQuarantineCap) return;
-  if (quarantine_.emplace(d.addr, d).second && ctr_q_held_ != nullptr) {
-    ctr_q_held_->inc();
+  if (std::any_of(quarantine_.begin(), quarantine_.end(),
+                  [&d](const NodeDescriptor& q) { return q.addr == d.addr; })) {
+    return;
   }
+  quarantine_.push_back(d);
+  if (ctr_q_held_ != nullptr) ctr_q_held_->inc();
 }
 
 const LeafSet& BootstrapProtocol::leaf_set() const {

@@ -15,7 +15,7 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
 #include "common/arena.hpp"
 #include "common/flat_map.hpp"
@@ -47,8 +47,9 @@ struct Tombstone {
 /// Both parts live in one flat descriptor buffer (ring entries first) split
 /// by an index: CREATEMESSAGE fills the buffer once with a single reserve
 /// and receivers read span views — no per-part vector per message. The
-/// message object and its buffer both recycle through thread-local pools
-/// (common/pool.hpp), so steady-state exchanges touch no allocator.
+/// message object, its descriptor buffer and its certificate buffer all
+/// recycle through thread-local pools (common/pool.hpp), so steady-state
+/// exchanges touch no allocator.
 class BootstrapMessage final : public Payload, public PooledAlloc<BootstrapMessage> {
  public:
   static constexpr PayloadKind kKind = PayloadKind::Bootstrap;
@@ -58,6 +59,7 @@ class BootstrapMessage final : public Payload, public PooledAlloc<BootstrapMessa
   BootstrapMessage(NodeDescriptor sender, bool is_request)
       : Payload(kKind), sender(sender), is_request(is_request) {
     BufferPool<NodeDescriptor>::acquire(entries_);
+    BufferPool<Tombstone>::acquire(tombstones);
   }
 
   /// Assembles from separate lists (codec decode, adversary rewrites, tests).
@@ -65,27 +67,30 @@ class BootstrapMessage final : public Payload, public PooledAlloc<BootstrapMessa
                    const DescriptorList& prefix, bool is_request)
       : Payload(kKind), sender(sender), is_request(is_request) {
     BufferPool<NodeDescriptor>::acquire(entries_);
+    BufferPool<Tombstone>::acquire(tombstones);
     entries_.reserve(ring.size() + prefix.size());
     entries_.insert(entries_.end(), ring.begin(), ring.end());
     entries_.insert(entries_.end(), prefix.begin(), prefix.end());
     ring_count_ = ring.size();
   }
 
-  /// Copying (the adversary's rewrite path) lands the clone's buffer in the
-  /// pool too, so a tampered delivery stays allocation-free once warm.
+  /// Copying (the adversary's rewrite path) lands the clone's buffers in
+  /// the pools too, so a tampered delivery stays allocation-free once warm.
   BootstrapMessage(const BootstrapMessage& other)
       : Payload(other),
         sender(other.sender),
-        tombstones(other.tombstones),
         is_request(other.is_request),
         ring_count_(other.ring_count_) {
     BufferPool<NodeDescriptor>::acquire(entries_);
     entries_.assign(other.entries_.begin(), other.entries_.end());
+    BufferPool<Tombstone>::acquire(tombstones);
+    tombstones.assign(other.tombstones.begin(), other.tombstones.end());
   }
   BootstrapMessage& operator=(const BootstrapMessage&) = delete;
 
   ~BootstrapMessage() override {
     BufferPool<NodeDescriptor>::release(std::move(entries_));
+    BufferPool<Tombstone>::release(std::move(tombstones));
   }
 
   std::size_t wire_bytes() const override;
@@ -120,7 +125,8 @@ class BootstrapMessage final : public Payload, public PooledAlloc<BootstrapMessa
 
   NodeDescriptor sender;
   /// Death certificates piggybacked by the evict_unresponsive extension
-  /// (empty when the extension is off). Bounded by kMaxTombstonesPerMessage.
+  /// (empty when the extension is off), newest first. Bounded by
+  /// kMaxTombstonesPerMessage; pooled like the descriptor buffer.
   std::vector<Tombstone> tombstones;
   bool is_request;
 
@@ -309,8 +315,14 @@ class BootstrapProtocol final : public Protocol {
   /// Closes the open span (no-op when none); exactly-once by construction.
   void close_span(SimTime now, obs::SpanOutcome outcome,
                   std::uint32_t answer_descriptors = 0);
-  // Active death certificates (id -> expiry), pruned lazily.
-  std::unordered_map<NodeId, SimTime> tombstones_;
+  // Death certificates in first-insertion order (oldest first) plus an
+  // id -> position index. The per-cycle sweep compacts expired entries out
+  // in one pass; tombstone_min_expiry_ lets it skip cycles where nothing
+  // expired. A certificate re-inserted after it expired (but before the
+  // sweep) moves to the back; its old position is marked expiry 0.
+  std::vector<Tombstone> tombstones_;
+  FlatMap<NodeId, std::uint32_t> tombstone_index_;
+  SimTime tombstone_min_expiry_ = ~SimTime{0};
   // Virtual time at the latest callback (create_message has no Context).
   SimTime now_ = 0;
 
@@ -329,6 +341,11 @@ class BootstrapProtocol final : public Protocol {
 
   /// Records a certificate for an unresponsive peer and removes it locally.
   void condemn(NodeId id, SimTime now);
+  /// Inserts or extends the certificate for `id`; returns true when its
+  /// expiry rose (an already-expired `expiry` is ignored).
+  bool put_tombstone(NodeId id, SimTime expiry, SimTime now);
+  /// Drops certificates expired at `now`, keeping the order of the rest.
+  void sweep_tombstones(SimTime now);
   /// True if `id` is currently tombstoned.
   bool is_tombstoned(NodeId id, SimTime now) const;
   /// Adopts certificates received from a peer.
@@ -358,9 +375,12 @@ class BootstrapProtocol final : public Protocol {
   // Descriptor address -> the peer that first contributed it (bounded
   // provenance, enough to purge a liar's plantings when it is caught).
   FlatMap<Address, Address, kNullAddress> contributed_by_;
-  // Quarantined descriptors awaiting a confirming probe echo.
-  std::unordered_map<Address, NodeDescriptor> quarantine_;
+  // Quarantined descriptors awaiting a confirming probe echo, oldest first
+  // (at most one per address).
+  std::vector<NodeDescriptor> quarantine_;
   static constexpr std::size_t kQuarantineCap = 64;
+  /// Removes the quarantined entry for `addr`, if any, and returns it.
+  std::optional<NodeDescriptor> take_quarantined(Address addr);
   static constexpr std::size_t kProvenanceCap = 4096;
   // CREATEMESSAGE / update_from scratch lives in thread-local buffers in
   // bootstrap.cpp (shared by every instance on a worker lane) rather than

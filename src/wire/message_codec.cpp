@@ -140,17 +140,16 @@ std::unique_ptr<Payload> decode_message(const std::vector<std::uint8_t>& bytes) 
       auto prefix = r.descriptor_list();
       const auto ts_count = r.u16();
       if (!sender || !flag || !ring || !prefix || !ts_count || *flag > 1) return nullptr;
-      std::vector<Tombstone> tombstones;
-      tombstones.reserve(*ts_count);
+      // Certificates decode straight into the message's pooled buffer.
+      auto msg = std::make_unique<BootstrapMessage>(*sender, *ring, *prefix, *flag == 1);
+      msg->tombstones.reserve(*ts_count);
       for (std::uint16_t i = 0; i < *ts_count; ++i) {
         const auto id = r.u64();
         const auto expiry = r.u32();
         if (!id || !expiry) return nullptr;
-        tombstones.push_back({*id, *expiry});
+        msg->tombstones.push_back({*id, *expiry});
       }
       if (!r.exhausted()) return nullptr;
-      auto msg = std::make_unique<BootstrapMessage>(*sender, *ring, *prefix, *flag == 1);
-      msg->tombstones = std::move(tombstones);
       return msg;
     }
     case MessageType::Newscast: {

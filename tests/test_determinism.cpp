@@ -338,16 +338,16 @@ void expect_hardened(const HardenedWitness& got, const HardenedWitness& want) {
 }
 
 TEST(GoldenReplay, Hardened256) {
-  const HardenedWitness want{.golden = {.hash = 0x73c4878dbb22d158ull,
+  const HardenedWitness want{.golden = {.hash = 0x2addfc1dfcdc1eecull,
                                         .rows = 25,
                                         .converged = -1,
-                                        .messages_sent = 88124,
-                                        .messages_delivered = 70338,
-                                        .bytes_sent = 24232894},
-                             .dropped = 17552,
-                             .condemned = 1607,
-                             .quarantine_held = 8690,
-                             .quarantine_promoted = 4219};
+                                        .messages_sent = 88757,
+                                        .messages_delivered = 70812,
+                                        .bytes_sent = 24088203},
+                             .dropped = 17677,
+                             .condemned = 1738,
+                             .quarantine_held = 8799,
+                             .quarantine_promoted = 4383};
   expect_hardened(run_hardened256(1), want);
   expect_hardened(run_hardened256(4), want);
 }

@@ -1,7 +1,10 @@
 // Tests for the liveness-maintenance extension (evict_unresponsive):
-// probe/evict, death certificates, restart-based recovery, and massive-join
-// absorption.
+// probe/evict, death certificates, restart-based recovery, massive-join
+// absorption, and the ordering rules of certificate piggybacking and
+// quarantine probing.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "sim/scenario.hpp"
@@ -144,6 +147,158 @@ TEST(Maintenance, FalseTombstonesExpire) {
   const auto rows = result.series.rows();
   EXPECT_LT(result.series.at(rows - 1, 1), 0.15);
   EXPECT_LT(result.series.at(rows - 1, 2), 0.15);
+}
+
+// --- ordering rules on a hand-driven node ---------------------------------
+//
+// One BootstrapProtocol (address 0) among scripted peers, on a transport
+// with a fixed 10-tick latency, so every injected message lands at a known
+// time and in send order.
+
+constexpr SimTime kLatency = 10;
+
+class FixedSampler final : public PeerSampler {
+ public:
+  explicit FixedSampler(DescriptorList peers) : peers_(std::move(peers)) {}
+  DescriptorList sample(std::size_t n) override {
+    return {peers_.begin(), peers_.begin() + static_cast<std::ptrdiff_t>(
+                                                 std::min(n, peers_.size()))};
+  }
+
+ private:
+  DescriptorList peers_;
+};
+
+// A scripted peer: never answers gossip, optionally echoes probes, and
+// remembers when the first probe request reached it.
+class ScriptedPeer final : public Protocol {
+ public:
+  explicit ScriptedPeer(bool echo) : echo_(echo) {}
+  void on_message(Context& ctx, Address from, const Payload& payload) override {
+    const auto* probe = payload_cast<ProbeMessage>(payload);
+    if (probe == nullptr || probe->is_reply) return;
+    if (first_probe == 0) first_probe = ctx.now();
+    if (echo_) ctx.send(from, std::make_unique<ProbeMessage>(true, ctx.self_id()));
+  }
+  SimTime first_probe = 0;
+
+ private:
+  bool echo_;
+};
+
+struct HandDriven {
+  Engine engine{3, TransportConfig{.min_latency = kLatency, .max_latency = kLatency}};
+  FixedSampler* sampler = nullptr;
+  BootstrapProtocol* node = nullptr;
+  std::vector<ScriptedPeer*> peers;  // index i lives at address i + 1
+
+  /// `helpers` echoing peers fill the node's leaf set; `silent` more peers
+  /// never answer anything.
+  HandDriven(BootstrapConfig cfg, std::size_t helpers, std::size_t silent) {
+    const Address self = engine.add_node(1);
+    DescriptorList leaf;
+    for (std::size_t i = 0; i < helpers + silent; ++i) {
+      const NodeId id = (i + 2) << 40;
+      const Address a = engine.add_node(id);
+      auto peer = std::make_unique<ScriptedPeer>(i < helpers);
+      peers.push_back(peer.get());
+      engine.attach(a, std::move(peer));
+      if (i < helpers) leaf.push_back({id, a});
+    }
+    sampler_owner = std::make_unique<FixedSampler>(leaf);
+    auto proto = std::make_unique<BootstrapProtocol>(cfg, sampler_owner.get(), nullptr, 0);
+    node = proto.get();
+    engine.attach(self, std::move(proto));
+    for (Address a = 0; a < engine.node_count(); ++a) engine.start_node(a);
+  }
+
+  /// Sends a gossip answer from `from` to the node and runs until it landed.
+  void deliver(Address from, std::unique_ptr<BootstrapMessage> msg) {
+    engine.send_message(from, 0, 0, std::move(msg));
+    engine.run_until(engine.now() + kLatency);
+  }
+
+  std::unique_ptr<FixedSampler> sampler_owner;
+};
+
+std::unique_ptr<BootstrapMessage> certificates(const HandDriven& h, NodeId first,
+                                               std::size_t count, SimTime expiry) {
+  auto msg = std::make_unique<BootstrapMessage>(h.engine.descriptor_of(1), false);
+  for (std::size_t i = 0; i < count; ++i) msg->tombstones.push_back({first + i, expiry});
+  return msg;
+}
+
+std::vector<NodeId> piggybacked(BootstrapProtocol& node) {
+  const auto msg = node.create_message(12345, false);
+  std::vector<NodeId> ids;
+  for (const Tombstone& ts : msg->tombstones) ids.push_back(ts.id);
+  return ids;
+}
+
+TEST(MaintenanceRules, CertificatesTravelNewestFirstUnexpiredAtMost64) {
+  BootstrapConfig cfg;
+  cfg.evict_unresponsive = true;
+  HandDriven h(cfg, 3, 0);
+  const SimTime far = 100 * kDelta;
+  h.engine.run_until(100);
+  h.deliver(1, certificates(h, 1000, 70, far));  // 1000..1069, oldest
+  h.engine.run_until(200);
+  {
+    // 2000..2009 expire at t = 300; 1000 is extended, which keeps its rank.
+    auto msg = certificates(h, 2000, 10, 300);
+    msg->tombstones.push_back({1000, 2 * far});
+    h.deliver(1, std::move(msg));
+  }
+  h.engine.run_until(300);
+  h.deliver(1, certificates(h, 4000, 5, far));  // 4000..4004, newest
+
+  // At t = 310 the 2000s have expired (not yet swept): skipped.
+  std::vector<NodeId> want;
+  for (NodeId id = 4004; id >= 4000; --id) want.push_back(id);
+  for (NodeId id = 1069; want.size() < BootstrapMessage::kMaxTombstonesPerMessage; --id) {
+    want.push_back(id);
+  }
+  EXPECT_EQ(piggybacked(*h.node), want);
+
+  // An expired certificate that arrives again is the newest one.
+  h.deliver(1, certificates(h, 2003, 1, far));
+  want.insert(want.begin(), 2003);
+  want.pop_back();
+  EXPECT_EQ(piggybacked(*h.node), want);
+
+  // The maintenance sweep at t = Δ compacts the expired entries out and
+  // keeps the order of the rest.
+  h.engine.run_until(kDelta + 100);
+  EXPECT_EQ(piggybacked(*h.node), want);
+}
+
+TEST(MaintenanceRules, QuarantineIsProbedOldestFirst) {
+  BootstrapConfig cfg;
+  cfg.evict_unresponsive = true;
+  cfg.harden = true;
+  // Peers 1..3 echo (the leaf set); 4 is the liar; 5..9 are quarantined.
+  HandDriven h(cfg, 3, 6);
+  const Address liar = 4;
+  h.engine.run_until(100);
+  // A sender descriptor that contradicts the transport source marks the liar.
+  h.deliver(liar, std::make_unique<BootstrapMessage>(
+                      NodeDescriptor{h.engine.id_of(liar), 1}, false));
+  // Everything the liar vouches for from now on is quarantined, in order.
+  DescriptorList planted;
+  for (Address a = 5; a <= 9; ++a) planted.push_back(h.engine.descriptor_of(a));
+  h.deliver(liar, std::make_unique<BootstrapMessage>(h.engine.descriptor_of(liar), planted,
+                                                     DescriptorList{}, false));
+  h.engine.run_until(4 * kDelta);
+  // Two new quarantine probes per cycle, oldest first; the silent ones stay
+  // outstanding, so each cycle moves on to the next two.
+  const auto probed_in_cycle = [&](Address a) {
+    return static_cast<int>(h.peers[a - 1]->first_probe / kDelta);
+  };
+  EXPECT_EQ(probed_in_cycle(5), 1);
+  EXPECT_EQ(probed_in_cycle(6), 1);
+  EXPECT_EQ(probed_in_cycle(7), 2);
+  EXPECT_EQ(probed_in_cycle(8), 2);
+  EXPECT_EQ(probed_in_cycle(9), 3);
 }
 
 }  // namespace
