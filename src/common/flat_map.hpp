@@ -98,14 +98,6 @@ class FlatMap {
     return true;
   }
 
-  void clear() {
-    slots_.clear();
-    shift_ = 64;
-    size_ = 0;
-    has_empty_key_ = false;
-    empty_value_ = V{};
-  }
-
  private:
   struct Slot {
     K key = kEmpty;

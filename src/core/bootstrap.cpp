@@ -261,7 +261,7 @@ void BootstrapProtocol::maintenance_step(Context& ctx) {
     ++it;
   }
   // Drop expired certificates so the table stays bounded.
-  if (tombstone_min_expiry_ <= now) sweep_tombstones(now);
+  sweep_tombstones(now);
   // 1b. An unanswered gossip exchange is a liveness hint: verify via the
   // retrying probe path instead of condemning outright.
   if (!probe_answered_ && probe_peer_.addr != kNullAddress) send_probe(ctx, probe_peer_);
@@ -591,17 +591,16 @@ bool BootstrapProtocol::put_tombstone(NodeId id, SimTime expiry, SimTime now) {
       return true;
     }
     live.expiry = 0;  // expired, not yet swept: re-inserted as the newest
-    tombstone_min_expiry_ = 0;
     *at = pos;
   }
   tombstones_.push_back({id, expiry});
-  tombstone_min_expiry_ = std::min(tombstone_min_expiry_, expiry);
   return true;
 }
 
 void BootstrapProtocol::sweep_tombstones(SimTime now) {
+  // One contiguous pass; survivors keep their order and, when they move,
+  // their index entry follows.
   std::size_t kept = 0;
-  SimTime min_expiry = ~SimTime{0};
   for (std::size_t i = 0; i < tombstones_.size(); ++i) {
     const Tombstone ts = tombstones_[i];
     if (ts.expiry <= now) {
@@ -615,10 +614,8 @@ void BootstrapProtocol::sweep_tombstones(SimTime now) {
       *tombstone_index_.find(ts.id) = static_cast<std::uint32_t>(kept);
     }
     ++kept;
-    min_expiry = std::min(min_expiry, ts.expiry);
   }
   tombstones_.resize(kept);
-  tombstone_min_expiry_ = min_expiry;
 }
 
 bool BootstrapProtocol::is_tombstoned(NodeId id, SimTime now) const {

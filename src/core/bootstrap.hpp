@@ -316,13 +316,11 @@ class BootstrapProtocol final : public Protocol {
   void close_span(SimTime now, obs::SpanOutcome outcome,
                   std::uint32_t answer_descriptors = 0);
   // Death certificates in first-insertion order (oldest first) plus an
-  // id -> position index. The per-cycle sweep compacts expired entries out
-  // in one pass; tombstone_min_expiry_ lets it skip cycles where nothing
-  // expired. A certificate re-inserted after it expired (but before the
-  // sweep) moves to the back; its old position is marked expiry 0.
+  // id -> position index. The per-cycle sweep compacts expired entries out.
+  // A certificate re-inserted after it expired (but before the sweep) moves
+  // to the back; its old position is marked expiry 0.
   std::vector<Tombstone> tombstones_;
   FlatMap<NodeId, std::uint32_t> tombstone_index_;
-  SimTime tombstone_min_expiry_ = ~SimTime{0};
   // Virtual time at the latest callback (create_message has no Context).
   SimTime now_ = 0;
 

@@ -187,8 +187,8 @@ class ScriptedPeer final : public Protocol {
 };
 
 struct HandDriven {
+  std::unique_ptr<FixedSampler> sampler;  // outlives the engine's protocols
   Engine engine{3, TransportConfig{.min_latency = kLatency, .max_latency = kLatency}};
-  FixedSampler* sampler = nullptr;
   BootstrapProtocol* node = nullptr;
   std::vector<ScriptedPeer*> peers;  // index i lives at address i + 1
 
@@ -205,8 +205,8 @@ struct HandDriven {
       engine.attach(a, std::move(peer));
       if (i < helpers) leaf.push_back({id, a});
     }
-    sampler_owner = std::make_unique<FixedSampler>(leaf);
-    auto proto = std::make_unique<BootstrapProtocol>(cfg, sampler_owner.get(), nullptr, 0);
+    sampler = std::make_unique<FixedSampler>(leaf);
+    auto proto = std::make_unique<BootstrapProtocol>(cfg, sampler.get(), nullptr, 0);
     node = proto.get();
     engine.attach(self, std::move(proto));
     for (Address a = 0; a < engine.node_count(); ++a) engine.start_node(a);
@@ -217,8 +217,6 @@ struct HandDriven {
     engine.send_message(from, 0, 0, std::move(msg));
     engine.run_until(engine.now() + kLatency);
   }
-
-  std::unique_ptr<FixedSampler> sampler_owner;
 };
 
 std::unique_ptr<BootstrapMessage> certificates(const HandDriven& h, NodeId first,
