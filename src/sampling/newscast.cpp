@@ -37,6 +37,14 @@ void NewscastProtocol::on_start(Context& ctx) {
   view_.clear();
   for (const auto& seed : pending_seeds_) {
     if (seed.addr == self_.addr) continue;
+    // Seeds may name one contact twice (drawn with replacement, or added
+    // again before start): the view holds each address once, first entry
+    // kept, as every later merge assumes.
+    if (std::any_of(view_.begin(), view_.end(), [&](const TimestampedDescriptor& e) {
+          return e.descriptor.addr == seed.addr;
+        })) {
+      continue;
+    }
     view_.push_back({seed, ctx.now()});
   }
   pending_seeds_.clear();

@@ -89,7 +89,8 @@ class NewscastProtocol final : public Protocol, public PeerSampler {
 
   /// Seeds the initial view (descriptors get timestamp = now at start).
   /// Intentionally accepts degenerate seeds (e.g. every node given the same
-  /// single contact): the protocol randomizes them quickly.
+  /// single contact): the protocol randomizes them quickly. Repeated
+  /// addresses collapse to their first entry at start.
   void init_view(DescriptorList seeds);
 
   /// Administrator-supplied contact on a running node (e.g. a member of

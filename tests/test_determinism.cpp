@@ -223,12 +223,12 @@ void expect_golden(const ExperimentResult& r, const Golden& g) {
   EXPECT_EQ(r.traffic_during_bootstrap.bytes_sent, g.bytes_sent);
 }
 
-constexpr Golden kPlain256{.hash = 0x10b4fa28a5a85044ull,
-                           .rows = 6,
-                           .converged = 5,
-                           .messages_sent = 6014,
-                           .messages_delivered = 5982,
-                           .bytes_sent = 4369506};
+constexpr Golden kPlain256{.hash = 0xa3e3e15222ce1129ull,
+                           .rows = 7,
+                           .converged = 6,
+                           .messages_sent = 7035,
+                           .messages_delivered = 7003,
+                           .bytes_sent = 5161997};
 
 TEST(GoldenReplay, Plain256) {
   ExperimentConfig cfg;
@@ -252,13 +252,13 @@ TEST(GoldenReplay, Drop256) {
   apply_env_obs(cfg, "drop256");
   BootstrapExperiment exp(cfg);
   const auto r = exp.run();
-  expect_golden(r, {.hash = 0x5f9de6304a856be1ull,
+  expect_golden(r, {.hash = 0x5e822e9fcb176e37ull,
                     .rows = 25,
                     .converged = 24,
-                    .messages_sent = 22940,
-                    .messages_delivered = 18365,
-                    .bytes_sent = 17504574});
-  EXPECT_EQ(r.traffic_during_bootstrap.messages_dropped, 4544u);
+                    .messages_sent = 22957,
+                    .messages_delivered = 18347,
+                    .bytes_sent = 17494735});
+  EXPECT_EQ(r.traffic_during_bootstrap.messages_dropped, 4586u);
 }
 
 TEST(GoldenReplay, Churn256) {
@@ -271,12 +271,12 @@ TEST(GoldenReplay, Churn256) {
   cfg.churn_join_rate = 0.01;
   apply_env_obs(cfg, "churn256");
   BootstrapExperiment exp(cfg);
-  expect_golden(exp.run(), {.hash = 0x7f5868c4473db2c8ull,
+  expect_golden(exp.run(), {.hash = 0xe7a8bc09c4774fbdull,
                             .rows = 20,
                             .converged = -1,
-                            .messages_sent = 19580,
-                            .messages_delivered = 18929,
-                            .bytes_sent = 14905000});
+                            .messages_sent = 19573,
+                            .messages_delivered = 18921,
+                            .bytes_sent = 14889537});
 }
 
 // The liveness and hardening paths: loss drives exchange timeouts, probes and
@@ -338,16 +338,16 @@ void expect_hardened(const HardenedWitness& got, const HardenedWitness& want) {
 }
 
 TEST(GoldenReplay, Hardened256) {
-  const HardenedWitness want{.golden = {.hash = 0x2addfc1dfcdc1eecull,
+  const HardenedWitness want{.golden = {.hash = 0xd6ff541b4b91d0fdull,
                                         .rows = 25,
                                         .converged = -1,
-                                        .messages_sent = 88757,
-                                        .messages_delivered = 70812,
-                                        .bytes_sent = 24088203},
-                             .dropped = 17677,
-                             .condemned = 1738,
-                             .quarantine_held = 8799,
-                             .quarantine_promoted = 4383};
+                                        .messages_sent = 88568,
+                                        .messages_delivered = 70657,
+                                        .bytes_sent = 24467460},
+                             .dropped = 17642,
+                             .condemned = 1784,
+                             .quarantine_held = 9180,
+                             .quarantine_promoted = 4389};
   expect_hardened(run_hardened256(1), want);
   expect_hardened(run_hardened256(4), want);
 }

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "sampling/graph_metrics.hpp"
 #include "sim/scenario.hpp"
@@ -146,6 +147,26 @@ TEST(Newscast, FreshestEntryWinsOnMerge) {
     ASSERT_EQ(net.proto(a).view().size(), 1u);
     EXPECT_GT(net.proto(a).view()[0].timestamp, 0u);
   }
+}
+
+TEST(Newscast, SeedsKeepTheFirstEntryPerAddress) {
+  // Seeds drawn with replacement may repeat a contact, and add_contact
+  // before start may repeat one more time; the view holds each address
+  // once. The peers never start, so no merge runs before the check.
+  Engine engine(12);
+  for (NodeId id = 1; id <= 4; ++id) engine.add_node(id * 1000);
+  auto owned = std::make_unique<NewscastProtocol>(NewscastConfig{});
+  NewscastProtocol& node = *owned;
+  engine.attach(0, std::move(owned));
+  const auto d = [&](Address a) { return engine.descriptor_of(a); };
+  node.init_view({d(2), d(1), d(2), d(0), d(3), d(1)});
+  node.add_contact(d(3), 0);
+  node.add_contact(d(1), 0);
+  engine.start_node(0);
+  engine.run_until(3 * kDelta);
+  std::vector<Address> addrs;
+  for (const auto& e : node.view()) addrs.push_back(e.descriptor.addr);
+  EXPECT_EQ(addrs, (std::vector<Address>{2, 1, 3}));
 }
 
 TEST(Newscast, TrafficIsOneExchangePerNodePerCycle) {
