@@ -378,9 +378,11 @@ std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_
   }
   un.push_back(self_);
 
-  // Dedupe by ID; drop the peer's own descriptor (useless to send back).
-  std::sort(un.begin(), un.end(),
-            [](const NodeDescriptor& a, const NodeDescriptor& b) { return a.id < b.id; });
+  // Dedupe by ID (same-ID rule: the lowest address wins); drop the peer's
+  // own descriptor (useless to send back).
+  std::sort(un.begin(), un.end(), [](const NodeDescriptor& a, const NodeDescriptor& b) {
+    return a.id != b.id ? a.id < b.id : a.addr < b.addr;
+  });
   un.erase(std::unique(un.begin(), un.end(),
                        [](const NodeDescriptor& a, const NodeDescriptor& b) {
                          return a.id == b.id;

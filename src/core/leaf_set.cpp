@@ -130,9 +130,11 @@ bool LeafSet::remove(NodeId id) {
 }
 
 void LeafSet::rebuild(std::vector<NodeDescriptor>& candidates) {
-  // Dedupe by ID. Sorting by ID first makes the dedupe deterministic.
+  // Dedupe by ID; one ID bound to several addresses keeps the lowest one.
   std::sort(candidates.begin(), candidates.end(),
-            [](const NodeDescriptor& a, const NodeDescriptor& b) { return a.id < b.id; });
+            [](const NodeDescriptor& a, const NodeDescriptor& b) {
+              return a.id != b.id ? a.id < b.id : a.addr < b.addr;
+            });
   candidates.erase(std::unique(candidates.begin(), candidates.end(),
                                [](const NodeDescriptor& a, const NodeDescriptor& b) {
                                  return a.id == b.id;

@@ -42,7 +42,8 @@ class LeafSet {
   ~LeafSet() = default;
 
   /// UPDATELEAFSET: tries to improve the set with the given descriptors.
-  /// Descriptors equal to the own ID and null addresses are ignored.
+  /// Descriptors equal to the own ID and null addresses are ignored. One ID
+  /// bound to several addresses (held or incoming) keeps the lowest address.
   void update(std::span<const NodeDescriptor> incoming);
 
   /// Removes an entry (used when a peer is detected dead). Returns whether

@@ -299,5 +299,41 @@ TEST(MaintenanceRules, QuarantineIsProbedOldestFirst) {
   EXPECT_EQ(probed_in_cycle(9), 3);
 }
 
+TEST(MaintenanceRules, SameIdKeepsTheLowestAddress) {
+  // One ID bound to two addresses in one message: UPDATELEAFSET keeps the
+  // lower address, while the prefix table keeps the first binding it saw
+  // (it never replaces an entry). CREATEMESSAGE then unions both bindings
+  // and must ship the lower one, once.
+  HandDriven h(BootstrapConfig{}, 3, 2);
+  const NodeId x = (7ull << 40) + 5;
+  h.engine.run_until(100);
+  h.deliver(1, std::make_unique<BootstrapMessage>(
+                   h.engine.descriptor_of(1), DescriptorList{{x, 5}, {x, 4}},
+                   DescriptorList{}, false));
+  std::vector<Address> in_leaf;
+  for (const auto& d : h.node->leaf_set().all()) {
+    if (d.id == x) in_leaf.push_back(d.addr);
+  }
+  EXPECT_EQ(in_leaf, std::vector<Address>{4});
+  ASSERT_TRUE(h.node->prefix_table().contains(x));
+
+  const auto msg = h.node->create_message(12345, false);
+  std::vector<Address> shipped;
+  for (const auto& d : msg->all_entries()) {
+    if (d.id == x) shipped.push_back(d.addr);
+  }
+  EXPECT_EQ(shipped, std::vector<Address>{4});
+
+  // A later, higher binding does not displace the held one.
+  h.deliver(1, std::make_unique<BootstrapMessage>(h.engine.descriptor_of(1),
+                                                  DescriptorList{{x, 5}}, DescriptorList{},
+                                                  false));
+  in_leaf.clear();
+  for (const auto& d : h.node->leaf_set().all()) {
+    if (d.id == x) in_leaf.push_back(d.addr);
+  }
+  EXPECT_EQ(in_leaf, std::vector<Address>{4});
+}
+
 }  // namespace
 }  // namespace bsvc
