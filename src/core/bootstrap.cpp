@@ -20,8 +20,6 @@ constexpr std::uint64_t kActiveTimer = 2;
 // per-node vectors without changing a single RNG draw.
 struct BootstrapScratch {
   DescriptorList union_buf;
-  DescriptorList succ_buf;
-  DescriptorList pred_buf;
   DescriptorList combined_buf;
   DescriptorList candidate_buf;  // select_peer's demotion filter
   std::vector<std::uint8_t> cell_fill_buf;
@@ -378,19 +376,31 @@ std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_
   }
   un.push_back(self_);
 
-  // Dedupe by ID (same-ID rule: the lowest address wins); drop the peer's
-  // own descriptor (useless to send back).
-  std::sort(un.begin(), un.end(), [](const NodeDescriptor& a, const NodeDescriptor& b) {
-    return a.id != b.id ? a.id < b.id : a.addr < b.addr;
+  // One ordering pass: by successor distance from q, equal IDs by address.
+  // That order dedupes by ID (same-ID rule: the lowest address comes first
+  // and survives), puts q itself first (distance 0; useless to send back),
+  // and lays out q's successors in increasing distance followed by its
+  // predecessors in decreasing distance — q's closest predecessor last.
+  std::sort(un.begin(), un.end(), [peer_id](const NodeDescriptor& a, const NodeDescriptor& b) {
+    const NodeId da = successor_distance(peer_id, a.id);
+    const NodeId db = successor_distance(peer_id, b.id);
+    return da != db ? da < db : a.addr < b.addr;
   });
   un.erase(std::unique(un.begin(), un.end(),
                        [](const NodeDescriptor& a, const NodeDescriptor& b) {
                          return a.id == b.id;
                        }),
            un.end());
-  un.erase(std::remove_if(un.begin(), un.end(),
-                          [peer_id](const NodeDescriptor& d) { return d.id == peer_id; }),
-           un.end());
+  const std::size_t first = !un.empty() && un.front().id == peer_id ? 1 : 0;
+  const std::size_t n = un.size();
+  const auto split = static_cast<std::size_t>(
+      std::partition_point(un.begin() + static_cast<std::ptrdiff_t>(first), un.end(),
+                           [peer_id](const NodeDescriptor& d) {
+                             return is_successor(peer_id, d.id);
+                           }) -
+      un.begin());
+  const std::size_t n_succ = split - first;
+  const std::size_t n_pred = n - split;
 
   // Ring part: the c entries closest to the peer in the leaf-set sense —
   // c/2 closest successors and c/2 closest predecessors of the peer, with
@@ -398,41 +408,28 @@ std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_
   // would starve the outermost directional entries wherever the ID
   // distribution is locally lopsided, and the last few leaf entries would
   // never converge.
-  DescriptorList& succ = scratch().succ_buf;
-  DescriptorList& pred = scratch().pred_buf;
-  succ.clear();
-  pred.clear();
-  for (const auto& d : un) (is_successor(peer_id, d.id) ? succ : pred).push_back(d);
-  std::sort(succ.begin(), succ.end(),
-            [peer_id](const NodeDescriptor& a, const NodeDescriptor& b) {
-              return successor_distance(peer_id, a.id) < successor_distance(peer_id, b.id);
-            });
-  std::sort(pred.begin(), pred.end(),
-            [peer_id](const NodeDescriptor& a, const NodeDescriptor& b) {
-              return predecessor_distance(peer_id, a.id) < predecessor_distance(peer_id, b.id);
-            });
   const std::size_t half = config_.c / 2;
-  std::size_t take_s = std::min(succ.size(), half);
-  std::size_t take_p = std::min(pred.size(), half);
+  std::size_t take_s = std::min(n_succ, half);
+  std::size_t take_p = std::min(n_pred, half);
   std::size_t spare = config_.c - take_s - take_p;
-  const std::size_t extra_s = std::min(succ.size() - take_s, spare);
+  const std::size_t extra_s = std::min(n_succ - take_s, spare);
   take_s += extra_s;
   spare -= extra_s;
-  take_p += std::min(pred.size() - take_p, spare);
+  take_p += std::min(n_pred - take_p, spare);
 
-  // Build the flat message: one buffer, one reserve (succ + pred bounds
-  // both the ring part and every prefix candidate), ring entries first.
+  // Build the flat message: one buffer, one reserve (the deduplicated union
+  // bounds both the ring part and every prefix candidate), ring entries
+  // first: successors outward from q, then predecessors outward from q.
   auto msg = std::make_unique<BootstrapMessage>(self_, is_request);
-  msg->reserve_entries(succ.size() + pred.size());
-  for (std::size_t i = 0; i < take_s; ++i) msg->append_ring_entry(succ[i]);
-  for (std::size_t i = 0; i < take_p; ++i) msg->append_ring_entry(pred[i]);
+  msg->reserve_entries(n_succ + n_pred);
+  for (std::size_t i = first; i < first + take_s; ++i) msg->append_ring_entry(un[i]);
+  for (std::size_t i = 0; i < take_p; ++i) msg->append_ring_entry(un[n - 1 - i]);
 
   // Prefix part: everything else that is potentially useful for the peer's
   // prefix table — shares at least one digit of prefix with the peer — with
   // at most k entries per (i, j) cell, so the part is bounded by the size of
-  // a full prefix table. The leftovers are consumed straight from the
-  // directional scratch buffers (succ leftovers first, matching the
-  // pre-refactor candidate order).
+  // a full prefix table. Leftover successors are considered first (outward
+  // from q), then leftover predecessors (outward from q).
   if (config_.send_prefix_part) {
     const int rows = config_.digits.num_digits<NodeId>();
     const int radix = config_.digits.radix();
@@ -451,8 +448,8 @@ std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_
       ++fill;
       msg->append_prefix_entry(d);
     };
-    for (std::size_t i = take_s; i < succ.size(); ++i) consider(succ[i]);
-    for (std::size_t i = take_p; i < pred.size(); ++i) consider(pred[i]);
+    for (std::size_t i = first + take_s; i < split; ++i) consider(un[i]);
+    for (std::size_t i = n - take_p; i-- > split;) consider(un[i]);
   }
   if (config_.evict_unresponsive && !tombstones_.empty()) {
     // The newest unexpired certificates, newest first.

@@ -7,18 +7,12 @@
 namespace bsvc {
 
 namespace {
-// UPDATELEAFSET staging buffers. Thread-local so the steady-state rebuild
+// UPDATELEAFSET staging buffer. Thread-local so the steady-state rebuild
 // allocates nothing once warm; safe because the sharded engine's worker
 // lanes are persistent threads and update() never re-enters itself.
-struct RebuildScratch {
-  std::vector<NodeDescriptor> candidates;
-  std::vector<NodeDescriptor> succ;
-  std::vector<NodeDescriptor> pred;
-};
-
-RebuildScratch& scratch() {
-  thread_local RebuildScratch s;
-  return s;
+std::vector<NodeDescriptor>& candidate_scratch() {
+  thread_local std::vector<NodeDescriptor> candidates;
+  return candidates;
 }
 }  // namespace
 
@@ -99,7 +93,7 @@ LeafSet& LeafSet::operator=(LeafSet&& other) noexcept {
 
 void LeafSet::update(std::span<const NodeDescriptor> incoming) {
   // Merge current content and the parameter set, then rebuild both sides.
-  auto& candidates = scratch().candidates;
+  auto& candidates = candidate_scratch();
   candidates.clear();
   const NodeId* id = ids();
   const Address* addr = addrs();
@@ -130,51 +124,52 @@ bool LeafSet::remove(NodeId id) {
 }
 
 void LeafSet::rebuild(std::vector<NodeDescriptor>& candidates) {
-  // Dedupe by ID; one ID bound to several addresses keeps the lowest one.
+  // One ordering pass: by successor distance from the own ID, equal IDs by
+  // address. Duplicates end up adjacent with the lowest address first (the
+  // same-ID rule), successors lead in increasing distance, and predecessors
+  // follow in decreasing predecessor distance — so the closest predecessor
+  // is the last element.
   std::sort(candidates.begin(), candidates.end(),
-            [](const NodeDescriptor& a, const NodeDescriptor& b) {
-              return a.id != b.id ? a.id < b.id : a.addr < b.addr;
+            [own = own_](const NodeDescriptor& a, const NodeDescriptor& b) {
+              const NodeId da = successor_distance(own, a.id);
+              const NodeId db = successor_distance(own, b.id);
+              return da != db ? da < db : a.addr < b.addr;
             });
   candidates.erase(std::unique(candidates.begin(), candidates.end(),
                                [](const NodeDescriptor& a, const NodeDescriptor& b) {
                                  return a.id == b.id;
                                }),
                    candidates.end());
-
-  auto& succ = scratch().succ;
-  auto& pred = scratch().pred;
-  succ.clear();
-  pred.clear();
-  for (const auto& d : candidates) {
-    (is_successor(own_, d.id) ? succ : pred).push_back(d);
-  }
-  std::sort(succ.begin(), succ.end(), [this](const NodeDescriptor& a, const NodeDescriptor& b) {
-    return successor_distance(own_, a.id) < successor_distance(own_, b.id);
-  });
-  std::sort(pred.begin(), pred.end(), [this](const NodeDescriptor& a, const NodeDescriptor& b) {
-    return predecessor_distance(own_, a.id) < predecessor_distance(own_, b.id);
-  });
+  const std::size_t n = candidates.size();
+  const auto split = static_cast<std::size_t>(
+      std::partition_point(candidates.begin(), candidates.end(),
+                           [own = own_](const NodeDescriptor& d) {
+                             return is_successor(own, d.id);
+                           }) -
+      candidates.begin());
+  const std::size_t n_succ = split;
+  const std::size_t n_pred = n - split;
 
   // Keep c/2 closest per direction; spare capacity from a short side tops up
   // the other ("filled with the closest elements in the other direction").
   const std::size_t half = capacity_ / 2;
-  std::size_t take_s = std::min(succ.size(), half);
-  std::size_t take_p = std::min(pred.size(), half);
+  std::size_t take_s = std::min(n_succ, half);
+  std::size_t take_p = std::min(n_pred, half);
   std::size_t spare = capacity_ - take_s - take_p;
-  const std::size_t extra_s = std::min(succ.size() - take_s, spare);
+  const std::size_t extra_s = std::min(n_succ - take_s, spare);
   take_s += extra_s;
   spare -= extra_s;
-  take_p += std::min(pred.size() - take_p, spare);
+  take_p += std::min(n_pred - take_p, spare);
 
   NodeId* ids_p = ids();
   Address* addrs_p = addrs();
   for (std::size_t i = 0; i < take_s; ++i) {
-    ids_p[i] = succ[i].id;
-    addrs_p[i] = succ[i].addr;
+    ids_p[i] = candidates[i].id;
+    addrs_p[i] = candidates[i].addr;
   }
   for (std::size_t i = 0; i < take_p; ++i) {
-    ids_p[take_s + i] = pred[i].id;
-    addrs_p[take_s + i] = pred[i].addr;
+    ids_p[take_s + i] = candidates[n - 1 - i].id;
+    addrs_p[take_s + i] = candidates[n - 1 - i].addr;
   }
   succ_count_ = static_cast<std::uint32_t>(take_s);
   pred_count_ = static_cast<std::uint32_t>(take_p);

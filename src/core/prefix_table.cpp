@@ -6,6 +6,16 @@
 
 namespace bsvc {
 
+namespace {
+// insert_all's per-cell fill counts. Thread-local so a steady-state
+// UPDATEPREFIXTABLE allocates nothing once warm (the worker lanes are
+// persistent threads and insert_all never re-enters itself).
+std::vector<std::uint16_t>& fill_scratch() {
+  thread_local std::vector<std::uint16_t> fill;
+  return fill;
+}
+}  // namespace
+
 PrefixTable::PrefixTable(NodeId own, DigitConfig digits, int k)
     : own_(own),
       digits_(digits),
@@ -100,31 +110,41 @@ void PrefixTable::ensure_capacity(std::uint32_t need) {
   arena_->grow(block_, new_cap, size_);
 }
 
-bool PrefixTable::insert(const NodeDescriptor& d) {
-  if (d.id == own_ || d.addr == kNullAddress) return false;
-  const Cell c = cell_of(d.id);
-  const auto [first, last] = cell_range(c.row, c.col);
-  if (last - first >= static_cast<std::size_t>(k_)) return false;
-  // Position within the (sorted) cell range; also detects duplicates.
-  const NodeId* ids_p = ids();
-  const std::size_t pos = static_cast<std::size_t>(
-      std::lower_bound(ids_p + first, ids_p + last, d.id) - ids_p);
-  if (pos != last && ids_p[pos] == d.id) return false;
-  ensure_capacity(size_ + 1);
-  NodeId* mut_ids = ids();
-  Address* mut_addrs = addrs();
-  std::copy_backward(mut_ids + pos, mut_ids + size_, mut_ids + size_ + 1);
-  std::copy_backward(mut_addrs + pos, mut_addrs + size_, mut_addrs + size_ + 1);
-  mut_ids[pos] = d.id;
-  mut_addrs[pos] = d.addr;
-  ++size_;
-  return true;
-}
+bool PrefixTable::insert(const NodeDescriptor& d) { return insert_all({&d, 1}) == 1; }
 
-std::size_t PrefixTable::insert_all(const DescriptorList& ds) {
+std::size_t PrefixTable::insert_all(std::span<const NodeDescriptor> ds) {
+  // Per-cell fill counts from one pass over the id-sorted run, so a
+  // candidate for a full cell is rejected in O(1); only a candidate that may
+  // be inserted pays a binary search (which also detects duplicates).
+  std::vector<std::uint16_t>& fill = fill_scratch();
+  const auto radix = static_cast<std::size_t>(digits_.radix());
+  const auto cell_index = [&](NodeId id) {
+    const Cell c = cell_of(id);
+    return static_cast<std::size_t>(c.row) * radix + static_cast<std::size_t>(c.col);
+  };
+  fill.assign(static_cast<std::size_t>(rows_) * radix, 0);
+  const NodeId* table = ids();
+  for (std::uint32_t i = 0; i < size_; ++i) ++fill[cell_index(table[i])];
+
   std::size_t added = 0;
   for (const auto& d : ds) {
-    if (insert(d)) ++added;
+    if (d.id == own_ || d.addr == kNullAddress) continue;
+    std::uint16_t& count = fill[cell_index(d.id)];
+    if (count >= k_) continue;
+    NodeId* mut_ids = ids();
+    const std::size_t pos = static_cast<std::size_t>(
+        std::lower_bound(mut_ids, mut_ids + size_, d.id) - mut_ids);
+    if (pos != size_ && mut_ids[pos] == d.id) continue;
+    ensure_capacity(size_ + 1);
+    mut_ids = ids();
+    Address* mut_addrs = addrs();
+    std::copy_backward(mut_ids + pos, mut_ids + size_, mut_ids + size_ + 1);
+    std::copy_backward(mut_addrs + pos, mut_addrs + size_, mut_addrs + size_ + 1);
+    mut_ids[pos] = d.id;
+    mut_addrs[pos] = d.addr;
+    ++size_;
+    ++count;
+    ++added;
   }
   return added;
 }

@@ -6,7 +6,8 @@
 // half-open interval [prefix_range_lo, prefix_range_hi): the first i digits
 // equal the own ID's, digit i equals j (≠ own digit i). Those intervals are
 // disjoint, so storing all entries in one ID-sorted run keeps every cell
-// contiguous; cell lookups are two binary searches and memory stays compact.
+// contiguous and memory compact: a cell lookup is two binary searches, and
+// a bulk update counts every cell in one pass over the run instead.
 //
 // Storage is struct-of-arrays in a DescriptorArena block: the binary
 // searches walk a dense NodeId lane (8 bytes/element, no interleaved
@@ -18,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,8 +57,10 @@ class PrefixTable {
   /// the table changed. Own-ID and null-address descriptors are ignored.
   bool insert(const NodeDescriptor& d);
 
-  /// Bulk UPDATEPREFIXTABLE. Returns the number of entries added.
-  std::size_t insert_all(const DescriptorList& ds);
+  /// Bulk UPDATEPREFIXTABLE: insert() for each descriptor in order. Counts
+  /// every cell's fill in one pass over the table first, so a candidate for
+  /// a full cell costs no search. Returns the number of entries added.
+  std::size_t insert_all(std::span<const NodeDescriptor> ds);
 
   /// Removes an entry by ID (dead-peer cleanup). Returns whether present.
   bool remove(NodeId id);

@@ -1,6 +1,9 @@
 #include "sampling/newscast.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/logging.hpp"
@@ -9,7 +12,22 @@ namespace bsvc {
 
 namespace {
 constexpr std::uint64_t kGossipTimer = 1;
+
+// Merge scratch shared by every Newscast instance on a worker lane
+// (thread-local, like the bootstrap protocol's): a merge's data lives only
+// within the call, so no node keeps a second view-sized buffer.
+struct MergeScratch {
+  std::vector<TimestampedDescriptor> candidates;  // the view, then accepted arrivals
+  std::vector<std::uint32_t> order;               // fallback sort order
+  std::vector<TimestampedDescriptor> out;
+  std::vector<Address> seen;  // open-addressing set of emitted addresses
+};
+
+MergeScratch& merge_scratch() {
+  thread_local MergeScratch s;
+  return s;
 }
+}  // namespace
 
 NewscastProtocol::NewscastProtocol(NewscastConfig config) : config_(config) {
   BSVC_CHECK(config_.view_size > 0);
@@ -94,11 +112,9 @@ void NewscastProtocol::sample_into(std::size_t n, DescriptorList& out) {
 }
 
 void NewscastProtocol::merge(const std::vector<TimestampedDescriptor>& incoming, SimTime now) {
-  // Union of view and incoming; per address keep the freshest timestamp.
-  // The scratch buffer is reused across deliveries: a steady-state merge
-  // allocates nothing once both buffers reached view_size capacity.
-  std::vector<TimestampedDescriptor>& merged = merge_buf_;
-  merged.assign(view_.begin(), view_.end());
+  MergeScratch& s = merge_scratch();
+  std::vector<TimestampedDescriptor>& cand = s.candidates;
+  cand.assign(view_.begin(), view_.end());
   std::size_t accepted = 0;
   for (const auto& entry : incoming) {
     if (entry.descriptor.addr == self_.addr || entry.descriptor.addr == kNullAddress) continue;
@@ -113,24 +129,74 @@ void NewscastProtocol::merge(const std::vector<TimestampedDescriptor>& incoming,
       }
       ++accepted;
     }
-    auto it = std::find_if(merged.begin(), merged.end(), [&](const TimestampedDescriptor& e) {
-      return e.descriptor.addr == entry.descriptor.addr;
-    });
-    if (it == merged.end()) {
-      merged.push_back(entry);
-    } else if (entry.timestamp > it->timestamp) {
-      *it = entry;
+    cand.push_back(entry);
+  }
+
+  // Merge order: freshest first, then lowest address, then the earlier
+  // candidate — the view before the arrivals, arrivals in message order.
+  // The first candidate of an address in this order is the freshest one
+  // (ties keep the entry seen first), and the first view_size distinct
+  // addresses are the new view, already in view order.
+  const auto before = [&cand](std::uint32_t a, std::uint32_t b) {
+    const TimestampedDescriptor& x = cand[a];
+    const TimestampedDescriptor& y = cand[b];
+    if (x.timestamp != y.timestamp) return x.timestamp > y.timestamp;
+    if (x.descriptor.addr != y.descriptor.addr) return x.descriptor.addr < y.descriptor.addr;
+    return a < b;
+  };
+  // The usual candidates are three ordered runs: the view, the sender's
+  // view, and the sender's fresh self entry (sent last).
+  const auto view_end = static_cast<std::uint32_t>(view_.size());
+  const auto cand_end = static_cast<std::uint32_t>(cand.size());
+  const std::uint32_t tail = cand_end > view_end ? cand_end - 1 : view_end;
+  const std::uint32_t runs[4] = {0, view_end, tail, cand_end};
+  bool runs_ordered = true;
+  for (int r = 0; r < 3 && runs_ordered; ++r) {
+    for (std::uint32_t k = runs[r] + 1; k < runs[r + 1] && runs_ordered; ++k) {
+      runs_ordered = !before(k, k - 1);
     }
   }
-  // Keep the freshest view_size entries. Stable tie-break on address keeps
-  // the merge deterministic.
-  std::sort(merged.begin(), merged.end(),
-            [](const TimestampedDescriptor& a, const TimestampedDescriptor& b) {
-              if (a.timestamp != b.timestamp) return a.timestamp > b.timestamp;
-              return a.descriptor.addr < b.descriptor.addr;
-            });
-  if (merged.size() > config_.view_size) merged.resize(config_.view_size);
-  view_.swap(merged);
+
+  std::vector<Address>& seen = s.seen;
+  seen.assign(std::bit_ceil(2 * config_.view_size), kNullAddress);
+  const std::size_t mask = seen.size() - 1;
+  std::vector<TimestampedDescriptor>& out = s.out;
+  out.clear();
+  // Emits candidate k unless its address was already emitted; true once the
+  // view is full.
+  const auto take = [&](std::uint32_t k) {
+    const TimestampedDescriptor& e = cand[k];
+    for (std::size_t h = (e.descriptor.addr * 0x9E3779B1u) & mask;; h = (h + 1) & mask) {
+      if (seen[h] == e.descriptor.addr) return false;
+      if (seen[h] == kNullAddress) {
+        seen[h] = e.descriptor.addr;
+        break;
+      }
+    }
+    out.push_back(e);
+    return out.size() >= config_.view_size;
+  };
+  if (runs_ordered) {
+    // One linear three-way merge.
+    std::uint32_t head[3] = {runs[0], runs[1], runs[2]};
+    for (;;) {
+      int next = -1;
+      for (int r = 0; r < 3; ++r) {
+        if (head[r] < runs[r + 1] && (next < 0 || before(head[r], head[next]))) next = r;
+      }
+      if (next < 0 || take(head[next]++)) break;
+    }
+  } else {
+    // The initial seeded view, or a message that is out of order.
+    std::vector<std::uint32_t>& order = s.order;
+    order.resize(cand_end);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), before);
+    for (const std::uint32_t k : order) {
+      if (take(k)) break;
+    }
+  }
+  view_.assign(out.begin(), out.end());
 }
 
 std::unique_ptr<NewscastMessage> NewscastProtocol::outgoing(Context& ctx,

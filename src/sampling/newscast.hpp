@@ -112,9 +112,12 @@ class NewscastProtocol final : public Protocol, public PeerSampler {
 
  private:
   /// Merges incoming entries into the view: dedupe by address keeping the
-  /// freshest, drop self, keep the `view_size` freshest overall. With
-  /// config_.harden, future-stamped and over-cap entries are rejected
-  /// (counted in "newscast.rejected").
+  /// freshest (ties keep the entry seen first), drop self, keep the
+  /// `view_size` freshest overall, ordered freshest first and then by
+  /// address. A linear merge of the ordered view with the message; a sort
+  /// only when the message is out of order (or the view is the unsorted
+  /// seed view). With config_.harden, future-stamped and over-cap entries
+  /// are rejected (counted in "newscast.rejected").
   void merge(const std::vector<TimestampedDescriptor>& incoming, SimTime now);
 
   /// Builds an exchange message carrying the view plus a fresh
@@ -123,9 +126,9 @@ class NewscastProtocol final : public Protocol, public PeerSampler {
 
   NewscastConfig config_;
   std::vector<TimestampedDescriptor> view_;
-  // Scratch reused across merges and samples (steady-state exchanges stay
-  // allocation-free; see tests/test_alloc.cpp).
-  std::vector<TimestampedDescriptor> merge_buf_;
+  // Scratch reused across samples (steady-state exchanges stay
+  // allocation-free; see tests/test_alloc.cpp). The merge's scratch is
+  // thread-local in newscast.cpp.
   std::vector<std::uint32_t> idx_buf_;
   DescriptorList pending_seeds_;
   NodeDescriptor self_{};

@@ -1,10 +1,10 @@
 // Property test: the SoA/arena-backed LeafSet and PrefixTable must hold
 // element-identical contents, in identical iteration order, to the seed
 // struct-of-descriptors semantics under any interleaving of insert, evict
-// and merge operations. The reference tables below reimplement the original
-// AoS algorithms verbatim (vectors of NodeDescriptor, same sort keys, same
-// spare/top-up arithmetic); both implementations are then driven with the
-// same seeded random operation sequences and compared after every step.
+// and merge operations. The reference tables (tests/reference_impls.hpp)
+// are plain AoS versions (vectors of NodeDescriptor, same spare/top-up
+// arithmetic); both implementations are driven with the same seeded random
+// operation sequences and compared after every step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,120 +15,14 @@
 #include "core/prefix_table.hpp"
 #include "id/digits.hpp"
 #include "id/ring.hpp"
+#include "tests/reference_impls.hpp"
 #include "tests/test_util.hpp"
 
 namespace bsvc {
 namespace {
 
-// --- Reference (seed) implementations ------------------------------------
-
-class RefLeafSet {
- public:
-  RefLeafSet(NodeId own, std::size_t capacity) : own_(own), capacity_(capacity) {}
-
-  void update(const std::vector<NodeDescriptor>& incoming) {
-    std::vector<NodeDescriptor> candidates = succ_;
-    candidates.insert(candidates.end(), pred_.begin(), pred_.end());
-    for (const auto& d : incoming) {
-      if (d.id == own_ || d.addr == kNullAddress) continue;
-      candidates.push_back(d);
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              [](const NodeDescriptor& a, const NodeDescriptor& b) { return a.id < b.id; });
-    candidates.erase(std::unique(candidates.begin(), candidates.end(),
-                                 [](const NodeDescriptor& a, const NodeDescriptor& b) {
-                                   return a.id == b.id;
-                                 }),
-                     candidates.end());
-
-    std::vector<NodeDescriptor> succ;
-    std::vector<NodeDescriptor> pred;
-    for (const auto& d : candidates) (is_successor(own_, d.id) ? succ : pred).push_back(d);
-    std::sort(succ.begin(), succ.end(),
-              [this](const NodeDescriptor& a, const NodeDescriptor& b) {
-                return successor_distance(own_, a.id) < successor_distance(own_, b.id);
-              });
-    std::sort(pred.begin(), pred.end(),
-              [this](const NodeDescriptor& a, const NodeDescriptor& b) {
-                return predecessor_distance(own_, a.id) < predecessor_distance(own_, b.id);
-              });
-
-    const std::size_t half = capacity_ / 2;
-    std::size_t take_s = std::min(succ.size(), half);
-    std::size_t take_p = std::min(pred.size(), half);
-    std::size_t spare = capacity_ - take_s - take_p;
-    const std::size_t extra_s = std::min(succ.size() - take_s, spare);
-    take_s += extra_s;
-    spare -= extra_s;
-    take_p += std::min(pred.size() - take_p, spare);
-
-    succ.resize(take_s);
-    pred.resize(take_p);
-    succ_ = std::move(succ);
-    pred_ = std::move(pred);
-  }
-
-  bool remove(NodeId id) {
-    for (auto* side : {&succ_, &pred_}) {
-      for (auto it = side->begin(); it != side->end(); ++it) {
-        if (it->id == id) {
-          side->erase(it);
-          return true;
-        }
-      }
-    }
-    return false;
-  }
-
-  const std::vector<NodeDescriptor>& successors() const { return succ_; }
-  const std::vector<NodeDescriptor>& predecessors() const { return pred_; }
-
- private:
-  NodeId own_;
-  std::size_t capacity_;
-  std::vector<NodeDescriptor> succ_;
-  std::vector<NodeDescriptor> pred_;
-};
-
-class RefPrefixTable {
- public:
-  RefPrefixTable(NodeId own, DigitConfig digits, int k)
-      : own_(own), digits_(digits), k_(k) {}
-
-  bool insert(const NodeDescriptor& d) {
-    if (d.id == own_ || d.addr == kNullAddress) return false;
-    const int row = common_prefix_digits(own_, d.id, digits_);
-    const int col = digit(d.id, row, digits_);
-    const NodeId lo = prefix_range_lo(own_, row, col, digits_);
-    const NodeId hi = prefix_range_hi(own_, row, col, digits_);
-    const auto by_id = [](const NodeDescriptor& a, NodeId id) { return a.id < id; };
-    const auto first = std::lower_bound(entries_.begin(), entries_.end(), lo, by_id);
-    const auto last =
-        hi == 0 ? entries_.end() : std::lower_bound(first, entries_.end(), hi, by_id);
-    if (last - first >= k_) return false;
-    const auto pos = std::lower_bound(first, last, d.id, by_id);
-    if (pos != last && pos->id == d.id) return false;
-    entries_.insert(pos, d);
-    return true;
-  }
-
-  bool remove(NodeId id) {
-    const auto pos = std::lower_bound(
-        entries_.begin(), entries_.end(), id,
-        [](const NodeDescriptor& a, NodeId key) { return a.id < key; });
-    if (pos == entries_.end() || pos->id != id) return false;
-    entries_.erase(pos);
-    return true;
-  }
-
-  const std::vector<NodeDescriptor>& entries() const { return entries_; }
-
- private:
-  NodeId own_;
-  DigitConfig digits_;
-  int k_;
-  std::vector<NodeDescriptor> entries_;
-};
+using RefLeafSet = ref::LeafSet;
+using RefPrefixTable = ref::PrefixTable;
 
 // --- Comparison helpers ----------------------------------------------------
 
