@@ -150,6 +150,29 @@ void BM_PrefixTableInsertSaturated(benchmark::State& state) {
 }
 BENCHMARK(BM_PrefixTableInsertSaturated);
 
+void BM_PrefixTableInsertAllSaturated(benchmark::State& state) {
+  // UPDATEPREFIXTABLE's real shape: one received message's ~108 descriptors
+  // merged into a saturated table in one insert_all call. Items are
+  // candidates, so the figure compares with the single-insert case above.
+  constexpr std::size_t kBatch = 108;
+  const auto pool = members(8192);
+  PrefixTable table(pool[0].id, DigitConfig{4}, 3);
+  DescriptorList all(pool.begin() + 1, pool.end());
+  table.insert_all(all);
+  Rng rng(9);
+  std::vector<DescriptorList> batches(64);
+  for (auto& batch : batches) {
+    for (std::size_t i = 0; i < kBatch; ++i) batch.push_back(pool[1 + rng.below(pool.size() - 1)]);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.insert_all(batches[next]));
+    next = (next + 1) % batches.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
+}
+BENCHMARK(BM_PrefixTableInsertAllSaturated);
+
 void BM_RingSortByDistance(benchmark::State& state) {
   // The dominant kernel of CREATEMESSAGE: ordering the candidate union by
   // directed distance around a pivot.

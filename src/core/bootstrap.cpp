@@ -19,7 +19,9 @@ constexpr std::uint64_t kActiveTimer = 2;
 // threads — so one warm set per lane replaces hundreds of thousands of
 // per-node vectors without changing a single RNG draw.
 struct BootstrapScratch {
-  DescriptorList union_buf;
+  DescriptorList runs_buf;   // CREATEMESSAGE: leaf run | table run | samples
+  DescriptorList known_buf;  // leaf and table runs merged
+  DescriptorList union_buf;  // the whole union, merged
   DescriptorList combined_buf;
   DescriptorList candidate_buf;  // select_peer's demotion filter
   std::vector<std::uint8_t> cell_fill_buf;
@@ -355,37 +357,62 @@ std::optional<NodeDescriptor> BootstrapProtocol::select_peer(Context& ctx) {
 
 std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_id,
                                                                     bool is_request) {
-  // Union of all locally available information: leaf set, cr fresh samples,
-  // the prefix table, and the own descriptor.
-  DescriptorList& un = scratch().union_buf;
-  un.clear();
-  {
-    const auto& succ = leaf_->successors();
-    const auto& pred = leaf_->predecessors();
-    un.insert(un.end(), succ.begin(), succ.end());
-    un.insert(un.end(), pred.begin(), pred.end());
-  }
-  if (config_.use_random_samples) {
-    // Appends in place with the exact RNG draws sample() would make —
-    // golden replays pin the equivalence.
-    sampler_->sample_into(config_.cr, un);
-  }
-  if (config_.prefix_entries_in_union) {
-    const auto& tbl = prefix_->entries();
-    un.insert(un.end(), tbl.begin(), tbl.end());
-  }
-  un.push_back(self_);
-
-  // One ordering pass: by successor distance from q, equal IDs by address.
-  // That order dedupes by ID (same-ID rule: the lowest address comes first
-  // and survives), puts q itself first (distance 0; useless to send back),
-  // and lays out q's successors in increasing distance followed by its
-  // predecessors in decreasing distance — q's closest predecessor last.
-  std::sort(un.begin(), un.end(), [peer_id](const NodeDescriptor& a, const NodeDescriptor& b) {
+  // Union of all locally available information — leaf set, cr fresh
+  // samples, the prefix table and the own descriptor — in one order: by
+  // successor distance from q, equal IDs by address. That order dedupes by
+  // ID (same-ID rule: the lowest address comes first and survives), puts q
+  // itself first (distance 0; useless to send back), and lays out q's
+  // successors in increasing distance followed by its predecessors in
+  // decreasing distance — q's closest predecessor last. The leaf set and
+  // the prefix table already hold rotations of that order, so only the
+  // samples are sorted, and three ordered runs are merged.
+  const auto closer = [peer_id](const NodeDescriptor& a, const NodeDescriptor& b) {
     const NodeId da = successor_distance(peer_id, a.id);
     const NodeId db = successor_distance(peer_id, b.id);
     return da != db ? da < db : a.addr < b.addr;
-  });
+  };
+  BootstrapScratch& s = scratch();
+  DescriptorList& runs = s.runs_buf;
+  runs.clear();
+  {
+    // Successors, then predecessors reversed: ascending successor distance
+    // from the own ID. Rotated to start at q.
+    const DescriptorView succ = leaf_->successors();
+    const DescriptorView pred = leaf_->predecessors();
+    const std::size_t ns = succ.size();
+    const std::size_t nl = ns + pred.size();
+    const auto at = [&](std::size_t i) { return i < ns ? succ[i] : pred[nl - 1 - i]; };
+    const NodeId q = successor_distance(self_.id, peer_id);
+    std::size_t j = 0;
+    while (j < nl && successor_distance(self_.id, at(j).id) < q) ++j;
+    for (std::size_t i = j; i < nl; ++i) runs.push_back(at(i));
+    for (std::size_t i = 0; i < j; ++i) runs.push_back(at(i));
+  }
+  const auto leaf_end = static_cast<std::ptrdiff_t>(runs.size());
+  if (config_.prefix_entries_in_union) {
+    // Sorted by ID: the IDs from q upwards, then the ones that wrap.
+    const DescriptorView tbl = prefix_->entries();
+    const auto from_q = static_cast<std::size_t>(
+        std::lower_bound(tbl.ids(), tbl.ids() + tbl.size(), peer_id) - tbl.ids());
+    for (std::size_t i = from_q; i < tbl.size(); ++i) runs.push_back(tbl[i]);
+    for (std::size_t i = 0; i < from_q; ++i) runs.push_back(tbl[i]);
+  }
+  const auto table_end = static_cast<std::ptrdiff_t>(runs.size());
+  if (config_.use_random_samples) {
+    // Appends in place with the exact RNG draws sample() would make —
+    // golden replays pin the equivalence.
+    sampler_->sample_into(config_.cr, runs);
+  }
+  runs.push_back(self_);
+  std::sort(runs.begin() + table_end, runs.end(), closer);
+  DescriptorList& known = s.known_buf;
+  known.resize(static_cast<std::size_t>(table_end));
+  std::merge(runs.begin(), runs.begin() + leaf_end, runs.begin() + leaf_end,
+             runs.begin() + table_end, known.begin(), closer);
+  DescriptorList& un = s.union_buf;
+  un.resize(runs.size());
+  std::merge(known.begin(), known.end(), runs.begin() + table_end, runs.end(), un.begin(),
+             closer);
   un.erase(std::unique(un.begin(), un.end(),
                        [](const NodeDescriptor& a, const NodeDescriptor& b) {
                          return a.id == b.id;

@@ -110,7 +110,29 @@ void PrefixTable::ensure_capacity(std::uint32_t need) {
   arena_->grow(block_, new_cap, size_);
 }
 
-bool PrefixTable::insert(const NodeDescriptor& d) { return insert_all({&d, 1}) == 1; }
+bool PrefixTable::place(const NodeDescriptor& d, std::size_t first, std::size_t last) {
+  const NodeId* ids_p = ids();
+  const std::size_t pos = static_cast<std::size_t>(
+      std::lower_bound(ids_p + first, ids_p + last, d.id) - ids_p);
+  if (pos != last && ids_p[pos] == d.id) return false;
+  ensure_capacity(size_ + 1);
+  NodeId* mut_ids = ids();
+  Address* mut_addrs = addrs();
+  std::copy_backward(mut_ids + pos, mut_ids + size_, mut_ids + size_ + 1);
+  std::copy_backward(mut_addrs + pos, mut_addrs + size_, mut_addrs + size_ + 1);
+  mut_ids[pos] = d.id;
+  mut_addrs[pos] = d.addr;
+  ++size_;
+  return true;
+}
+
+bool PrefixTable::insert(const NodeDescriptor& d) {
+  if (d.id == own_ || d.addr == kNullAddress) return false;
+  const Cell c = cell_of(d.id);
+  const auto [first, last] = cell_range(c.row, c.col);
+  if (last - first >= static_cast<std::size_t>(k_)) return false;
+  return place(d, first, last);
+}
 
 std::size_t PrefixTable::insert_all(std::span<const NodeDescriptor> ds) {
   // Per-cell fill counts from one pass over the id-sorted run, so a
@@ -130,19 +152,7 @@ std::size_t PrefixTable::insert_all(std::span<const NodeDescriptor> ds) {
   for (const auto& d : ds) {
     if (d.id == own_ || d.addr == kNullAddress) continue;
     std::uint16_t& count = fill[cell_index(d.id)];
-    if (count >= k_) continue;
-    NodeId* mut_ids = ids();
-    const std::size_t pos = static_cast<std::size_t>(
-        std::lower_bound(mut_ids, mut_ids + size_, d.id) - mut_ids);
-    if (pos != size_ && mut_ids[pos] == d.id) continue;
-    ensure_capacity(size_ + 1);
-    mut_ids = ids();
-    Address* mut_addrs = addrs();
-    std::copy_backward(mut_ids + pos, mut_ids + size_, mut_ids + size_ + 1);
-    std::copy_backward(mut_addrs + pos, mut_addrs + size_, mut_addrs + size_ + 1);
-    mut_ids[pos] = d.id;
-    mut_addrs[pos] = d.addr;
-    ++size_;
+    if (count >= k_ || !place(d, 0, size_)) continue;
     ++count;
     ++added;
   }

@@ -57,9 +57,10 @@ class PrefixTable {
   /// the table changed. Own-ID and null-address descriptors are ignored.
   bool insert(const NodeDescriptor& d);
 
-  /// Bulk UPDATEPREFIXTABLE: insert() for each descriptor in order. Counts
-  /// every cell's fill in one pass over the table first, so a candidate for
-  /// a full cell costs no search. Returns the number of entries added.
+  /// Bulk UPDATEPREFIXTABLE: insert() for each descriptor in order, but
+  /// with every cell's fill counted in one pass over the table first, so a
+  /// candidate for a full cell costs no search. Returns the number of
+  /// entries added.
   std::size_t insert_all(std::span<const NodeDescriptor> ds);
 
   /// Removes an entry by ID (dead-peer cleanup). Returns whether present.
@@ -88,6 +89,9 @@ class PrefixTable {
  private:
   /// [first, last) index range of a cell in the sorted run.
   std::pair<std::size_t, std::size_t> cell_range(int row, int col) const;
+  /// Inserts `d` at its sorted position, searched within [first, last),
+  /// unless its ID is already there. The caller checked the cell's fill.
+  bool place(const NodeDescriptor& d, std::size_t first, std::size_t last);
   void ensure_capacity(std::uint32_t need);
   void copy_from(const PrefixTable& other);
 
