@@ -364,8 +364,8 @@ std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_
   // itself first (distance 0; useless to send back), and lays out q's
   // successors in increasing distance followed by its predecessors in
   // decreasing distance — q's closest predecessor last. The leaf set and
-  // the prefix table already hold rotations of that order, so only the
-  // samples are sorted, and three ordered runs are merged.
+  // the prefix table hand out their entries in that order without sorting,
+  // so only the samples are sorted, and three ordered runs are merged.
   const auto closer = [peer_id](const NodeDescriptor& a, const NodeDescriptor& b) {
     const NodeId da = successor_distance(peer_id, a.id);
     const NodeId db = successor_distance(peer_id, b.id);
@@ -374,29 +374,9 @@ std::unique_ptr<BootstrapMessage> BootstrapProtocol::create_message(NodeId peer_
   BootstrapScratch& s = scratch();
   DescriptorList& runs = s.runs_buf;
   runs.clear();
-  {
-    // Successors, then predecessors reversed: ascending successor distance
-    // from the own ID. Rotated to start at q.
-    const DescriptorView succ = leaf_->successors();
-    const DescriptorView pred = leaf_->predecessors();
-    const std::size_t ns = succ.size();
-    const std::size_t nl = ns + pred.size();
-    const auto at = [&](std::size_t i) { return i < ns ? succ[i] : pred[nl - 1 - i]; };
-    const NodeId q = successor_distance(self_.id, peer_id);
-    std::size_t j = 0;
-    while (j < nl && successor_distance(self_.id, at(j).id) < q) ++j;
-    for (std::size_t i = j; i < nl; ++i) runs.push_back(at(i));
-    for (std::size_t i = 0; i < j; ++i) runs.push_back(at(i));
-  }
+  leaf_->append_in_ring_order(peer_id, runs);
   const auto leaf_end = static_cast<std::ptrdiff_t>(runs.size());
-  if (config_.prefix_entries_in_union) {
-    // Sorted by ID: the IDs from q upwards, then the ones that wrap.
-    const DescriptorView tbl = prefix_->entries();
-    const auto from_q = static_cast<std::size_t>(
-        std::lower_bound(tbl.ids(), tbl.ids() + tbl.size(), peer_id) - tbl.ids());
-    for (std::size_t i = from_q; i < tbl.size(); ++i) runs.push_back(tbl[i]);
-    for (std::size_t i = 0; i < from_q; ++i) runs.push_back(tbl[i]);
-  }
+  if (config_.prefix_entries_in_union) prefix_->append_in_ring_order(peer_id, runs);
   const auto table_end = static_cast<std::ptrdiff_t>(runs.size());
   if (config_.use_random_samples) {
     // Appends in place with the exact RNG draws sample() would make —

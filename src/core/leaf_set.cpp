@@ -191,6 +191,23 @@ DescriptorList LeafSet::sorted_by_ring_distance() const {
   return out;
 }
 
+void LeafSet::append_in_ring_order(NodeId from, DescriptorList& out) const {
+  const NodeId* ids_p = ids();
+  const Address* addrs_p = addrs();
+  const std::size_t n = size();
+  // Own-order position i: successors first, then predecessors from the
+  // farthest to the closest.
+  const auto at = [&](std::size_t i) {
+    const std::size_t slot = i < succ_count_ ? i : succ_count_ + (n - 1 - i);
+    return NodeDescriptor{ids_p[slot], addrs_p[slot]};
+  };
+  const NodeId start = successor_distance(own_, from);
+  std::size_t first = 0;
+  while (first < n && successor_distance(own_, at(first).id) < start) ++first;
+  for (std::size_t i = first; i < n; ++i) out.push_back(at(i));
+  for (std::size_t i = 0; i < first; ++i) out.push_back(at(i));
+}
+
 bool LeafSet::contains(NodeId id) const {
   const NodeId* ids_p = ids();
   const std::size_t n = size();

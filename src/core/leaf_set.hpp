@@ -66,6 +66,12 @@ class LeafSet {
   /// SELECTPEER draws from.
   DescriptorList sorted_by_ring_distance() const;
 
+  /// Appends every entry to `out` in increasing successor distance from
+  /// `from`, without sorting: successors then reversed predecessors ascend
+  /// in successor distance from the own ID, and the same cycle started at
+  /// `from` ascends from `from`.
+  void append_in_ring_order(NodeId from, DescriptorList& out) const;
+
   bool contains(NodeId id) const;
   std::size_t size() const { return succ_count_ + pred_count_; }
   bool empty() const { return size() == 0; }

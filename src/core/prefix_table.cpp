@@ -186,6 +186,15 @@ DescriptorList PrefixTable::cell(int row, int col) const {
   return out;
 }
 
+void PrefixTable::append_in_ring_order(NodeId from, DescriptorList& out) const {
+  const NodeId* ids_p = ids();
+  const Address* addrs_p = addrs();
+  const auto first =
+      static_cast<std::size_t>(std::lower_bound(ids_p, ids_p + size_, from) - ids_p);
+  for (std::size_t i = first; i < size_; ++i) out.push_back({ids_p[i], addrs_p[i]});
+  for (std::size_t i = 0; i < first; ++i) out.push_back({ids_p[i], addrs_p[i]});
+}
+
 bool PrefixTable::contains(NodeId id) const {
   const NodeId* ids_p = ids();
   const std::size_t pos =

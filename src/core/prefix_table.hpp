@@ -76,6 +76,11 @@ class PrefixTable {
   /// its candidate set.
   DescriptorView entries() const { return {ids(), addrs(), size_}; }
 
+  /// Appends every entry to `out` in increasing successor distance from
+  /// `from`, without sorting: the ID-sorted run from the first ID >= from,
+  /// then the IDs that wrap around.
+  void append_in_ring_order(NodeId from, DescriptorList& out) const;
+
   /// Total number of filled entries.
   std::size_t filled() const { return size_; }
 

@@ -1,8 +1,8 @@
 // Differential tests for the per-exchange hot path: LeafSet::update,
-// PrefixTable::insert_all, CREATEMESSAGE's ring and prefix parts and the
-// Newscast merge must match the plain reference versions in
-// tests/reference_impls.hpp element for element, in order, over seeded
-// random operation sequences. The inputs cover unsorted and flooded lists,
+// PrefixTable::insert_all, both tables' append_in_ring_order, CREATEMESSAGE's
+// ring and prefix parts and the Newscast merge must match the plain
+// reference versions in tests/reference_impls.hpp element for element, in
+// order, over seeded random operation sequences. The inputs cover unsorted and flooded lists,
 // duplicate addresses with equal timestamps, future timestamps under
 // harden, and empty or one-sided leaf sets. Inputs that bind one ID to
 // several addresses are checked against the explicit same-ID rule (the
@@ -95,6 +95,15 @@ std::vector<NodeDescriptor> to_vector(const Range& r) {
   return {r.begin(), r.end()};
 }
 
+/// `entries` (unique IDs) sorted by successor distance from `from`: what
+/// append_in_ring_order must produce without sorting.
+std::vector<NodeDescriptor> by_distance_from(NodeId from, std::vector<NodeDescriptor> entries) {
+  std::sort(entries.begin(), entries.end(), [from](const auto& a, const auto& b) {
+    return successor_distance(from, a.id) < successor_distance(from, b.id);
+  });
+  return entries;
+}
+
 /// The same-ID rule over a set of candidates: ID -> lowest address.
 std::map<NodeId, Address> lowest_address(const std::vector<NodeDescriptor>& candidates) {
   std::map<NodeId, Address> best;
@@ -135,9 +144,14 @@ TEST(HotPathEquivalence, LeafSetUpdateMatchesReference) {
           const NodeId victim = pool[rng.below(pool.size())].id;
           EXPECT_EQ(ls.remove(victim), want.remove(victim)) << "step " << step;
         }
-        ASSERT_EQ(to_vector(ls.successors()), want.successors()) << "seed " << seed << " step " << step;
+        ASSERT_EQ(to_vector(ls.successors()), want.successors())
+            << "seed " << seed << " step " << step;
         ASSERT_EQ(to_vector(ls.predecessors()), want.predecessors())
             << "seed " << seed << " step " << step;
+        const NodeId from = rng.chance(0.5) ? pool[rng.below(pool.size())].id : rng.next_u64();
+        DescriptorList ring_order;
+        ls.append_in_ring_order(from, ring_order);
+        ASSERT_EQ(ring_order, by_distance_from(from, to_vector(ls.all_view()))) << "step " << step;
       }
     }
   }
@@ -197,6 +211,10 @@ TEST(HotPathEquivalence, PrefixTableInsertAllMatchesReference) {
           }
           ASSERT_EQ(to_vector(pt.entries()), want.entries())
               << "seed " << seed << " b " << b << " step " << step;
+          const NodeId from = rng.chance(0.5) ? pool[rng.below(pool.size())].id : rng.next_u64();
+          DescriptorList ring_order;
+          pt.append_in_ring_order(from, ring_order);
+          ASSERT_EQ(ring_order, by_distance_from(from, want.entries())) << "step " << step;
         }
       }
     }
@@ -309,7 +327,8 @@ TEST(HotPathEquivalence, CreateMessageMatchesReference) {
           const auto prefix = to_vector(msg->prefix_part());
           if (shape != Shape::Conflicting) {
             ASSERT_EQ(ring, want.ring) << "seed " << seed << " config " << ci << " step " << step;
-            ASSERT_EQ(prefix, want.prefix) << "seed " << seed << " config " << ci << " step " << step;
+            ASSERT_EQ(prefix, want.prefix)
+                << "seed " << seed << " config " << ci << " step " << step;
             continue;
           }
           ASSERT_EQ(ids_of(ring), ids_of(want.ring)) << "config " << ci << " step " << step;
@@ -409,7 +428,8 @@ TEST(HotPathEquivalence, NewscastMergeMatchesReference) {
         // unsorted view.
         DescriptorList seeds;
         for (auto n = rng.below(2 * view_size); n > 0; --n) {
-          seeds.push_back(engine.descriptor_of(static_cast<Address>(rng.below(kNewscastPeers + 1))));
+          const auto a = static_cast<Address>(rng.below(kNewscastPeers + 1));
+          seeds.push_back(engine.descriptor_of(a));
         }
         node.init_view(seeds);
         engine.start_node(0);
