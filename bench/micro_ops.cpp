@@ -162,6 +162,7 @@ void BM_PrefixTableInsertAllSaturated(benchmark::State& state) {
   Rng rng(9);
   std::vector<DescriptorList> batches(64);
   for (auto& batch : batches) {
+    batch.reserve(kBatch);
     for (std::size_t i = 0; i < kBatch; ++i) batch.push_back(pool[1 + rng.below(pool.size() - 1)]);
   }
   std::size_t next = 0;

@@ -166,7 +166,8 @@ void NewscastProtocol::merge(const std::vector<TimestampedDescriptor>& incoming,
   // view is full.
   const auto take = [&](std::uint32_t k) {
     const TimestampedDescriptor& e = cand[k];
-    for (std::size_t h = (e.descriptor.addr * 0x9E3779B1u) & mask;; h = (h + 1) & mask) {
+    const std::uint32_t hash = e.descriptor.addr * 0x9E3779B1u;
+    for (std::size_t h = hash & mask;; h = (h + 1) & mask) {
       if (seen[h] == e.descriptor.addr) return false;
       if (seen[h] == kNullAddress) {
         seen[h] = e.descriptor.addr;
