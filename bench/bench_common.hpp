@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +37,12 @@ inline constexpr std::size_t kSmokeRepeats[] = {3, 2, 1};
 inline constexpr std::size_t kFullSizes[] = {std::size_t{1} << 14, std::size_t{1} << 16,
                                              std::size_t{1} << 18};
 inline constexpr std::size_t kFullRepeats[] = {4, 2, 1};
+/// The §5/§7 scalability ladder: every power of two across the smoke tier.
+/// bench/scale runs each size its tier lacks as one extra replica, so the
+/// cycles-vs-log2(N) fit has a point per doubling at either tier.
+inline constexpr std::size_t kLadderSizes[] = {std::size_t{1} << 10, std::size_t{1} << 11,
+                                               std::size_t{1} << 12, std::size_t{1} << 13,
+                                               std::size_t{1} << 14};
 
 /// True when an environment variable value means "on" (set, non-empty, and
 /// not "0"/"false").
@@ -213,7 +220,7 @@ inline std::vector<LabelledRun> run_replicas(const std::vector<ReplicaSpec>& spe
 
 /// Prints `column` of every run against the cycle axis, in gnuplot "plot ...
 /// using 1:2" blocks separated by blank lines, then a summary table.
-inline void print_runs(const std::string& figure, const std::vector<LabelledRun>& runs,
+inline void print_runs(const std::string& figure, std::span<const LabelledRun> runs,
                        const std::string& leaf_caption = "proportion of missing leaf set entries",
                        const std::string& prefix_caption =
                            "proportion of missing prefix table entries") {

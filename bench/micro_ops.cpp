@@ -1,13 +1,13 @@
 // Data-structure level microbenchmarks (google-benchmark): the per-message
 // costs that dominate a simulated cycle — UPDATELEAFSET, UPDATEPREFIXTABLE,
 // CREATEMESSAGE — plus the convergence oracle build that the experiment
-// harness amortizes across cycles, and the engine event-queue hot path
-// (legacy fat-event binary heap vs the slim two-tier queue).
+// harness amortizes across cycles, and the engine hot path: the two-tier
+// event queue, payload pooling, the send→dispatch round trip and the
+// window primitives.
 #include <benchmark/benchmark.h>
 
 #include <functional>
 #include <memory>
-#include <queue>
 
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
@@ -70,52 +70,23 @@ void BM_LeafScanSoA(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafScanSoA)->Arg(20)->Arg(256)->Arg(4096);
 
-void BM_LeafScanAoS(benchmark::State& state) {
-  // The same scan over the seed layout: an array of 16-byte padded
-  // NodeDescriptor structs, so half of every cache line is address bytes the
-  // scan never reads. The delta against BM_LeafScanSoA is the layout's win.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto pool = members(n + 1);
-  const NodeId pivot = pool[0].id;
-  const std::vector<NodeDescriptor> entries(pool.begin() + 1, pool.end());
-  for (auto _ : state) {
-    NodeId best = ~NodeId{0};
-    for (const auto& d : entries) {
-      best = std::min(best, successor_distance(pivot, d.id));
-    }
-    benchmark::DoNotOptimize(best);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_LeafScanAoS)->Arg(20)->Arg(256)->Arg(4096);
-
-void BM_ArenaAllocVsHeap(benchmark::State& state) {
+void BM_ArenaAlloc(benchmark::State& state) {
   // A node's table-construction storage: leaf block (c=20) plus prefix block
-  // (first doubling tier). Arg(0): bump allocation out of a warm
-  // DescriptorArena — two pointer bumps, no allocator. Arg(1): the seed
-  // path's cost, two heap vectors per construction.
-  const bool heap = state.range(0) != 0;
+  // (first doubling tier), bump-allocated out of a warm DescriptorArena —
+  // two pointer bumps, no allocator.
   DescriptorArena arena;
   arena.allocate(20 + 16);  // warm the slabs
   arena.reset();
   for (auto _ : state) {
-    if (heap) {
-      std::vector<NodeId> ids(20 + 16);
-      std::vector<Address> addrs(20 + 16);
-      benchmark::DoNotOptimize(ids.data());
-      benchmark::DoNotOptimize(addrs.data());
-    } else {
-      const auto leaf = arena.allocate(20);
-      const auto prefix = arena.allocate(16);
-      benchmark::DoNotOptimize(arena.ids(leaf));
-      benchmark::DoNotOptimize(arena.ids(prefix));
-      arena.reset();
-    }
+    const auto leaf = arena.allocate(20);
+    const auto prefix = arena.allocate(16);
+    benchmark::DoNotOptimize(arena.ids(leaf));
+    benchmark::DoNotOptimize(arena.ids(prefix));
+    arena.reset();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_ArenaAllocVsHeap)->Arg(0)->Arg(1);
+BENCHMARK(BM_ArenaAlloc);
 
 void BM_UpdatePrefixTable(benchmark::State& state) {
   const auto batch_size = static_cast<std::size_t>(state.range(0));
@@ -232,58 +203,10 @@ BENCHMARK(BM_IdGeneration);
 // in-cycle delay ahead (so the queue stays at its steady-state size, as it
 // does mid-simulation).
 
-/// The engine's pre-overhaul event record: 80-byte node with an owning
-/// payload pointer and a std::function, ordered through a binary heap.
-/// Reimplemented here as the microbenchmark baseline.
-struct FatEvent {
-  SimTime time = 0;
-  std::uint64_t seq = 0;
-  int kind = 0;
-  Address addr = kNullAddress;
-  Address from = kNullAddress;
-  ProtocolSlot slot = 0;
-  std::unique_ptr<Payload> payload;
-  std::function<void(Engine&)> fn;
-  std::uint64_t aux = 0;
-};
-
-struct FatEventOrder {
-  bool operator()(const FatEvent& a, const FatEvent& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-void BM_EventQueueFatHeap(benchmark::State& state) {
-  const auto live = static_cast<std::size_t>(state.range(0));
-  Rng rng(12);
-  std::priority_queue<FatEvent, std::vector<FatEvent>, FatEventOrder> heap;
-  std::uint64_t seq = 0;
-  for (std::size_t i = 0; i < live; ++i) {
-    FatEvent ev;
-    ev.time = rng.below(kDelta);
-    ev.seq = seq++;
-    heap.push(std::move(ev));
-  }
-  for (auto _ : state) {
-    // priority_queue::top() is const&; the const_cast move-out mirrors what
-    // the old engine did to extract the owning members.
-    FatEvent ev = std::move(const_cast<FatEvent&>(heap.top()));
-    heap.pop();
-    FatEvent next;
-    next.time = ev.time + 1 + rng.below(kDelta);
-    next.seq = seq++;
-    heap.push(std::move(next));
-    benchmark::DoNotOptimize(ev.time);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EventQueueFatHeap)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
-
 void BM_EventQueueTwoTier(benchmark::State& state) {
-  // Same workload, with the engine's content-addressed ordering keys
-  // (random origin << 40 | counter): same-tick pushes arrive out of key
-  // order, so the per-bucket lazy sort does real work.
+  // The engine's content-addressed ordering keys (random origin << 40 |
+  // counter): same-tick pushes arrive out of key order, so the per-bucket
+  // lazy sort does real work.
   const auto live = static_cast<std::size_t>(state.range(0));
   Rng rng(12);
   TwoTierQueue queue;
@@ -327,9 +250,8 @@ void BM_PayloadPoolStoreTake(benchmark::State& state) {
 BENCHMARK(BM_PayloadPoolStoreTake);
 
 void BM_PayloadRefShare(benchmark::State& state) {
-  // What fault-layer duplication and multi-delivery now cost: a refcount
-  // bump, no heap traffic. Compare BM_PayloadDeepCopyBaseline — the price
-  // the old clone()-based duplication paid per copy.
+  // What fault-layer duplication and multi-delivery cost: a refcount bump,
+  // no heap traffic.
   const PayloadRef original = make_payload<BenchPayload>();
   for (auto _ : state) {
     PayloadRef copy = original;  // NOLINT(performance-unnecessary-copy-initialization)
@@ -338,16 +260,6 @@ void BM_PayloadRefShare(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PayloadRefShare);
-
-void BM_PayloadDeepCopyBaseline(benchmark::State& state) {
-  const BenchPayload original;
-  for (auto _ : state) {
-    auto copy = std::make_unique<BenchPayload>(original);
-    benchmark::DoNotOptimize(copy.get());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PayloadDeepCopyBaseline);
 
 void BM_CreateMessageSteadyState(benchmark::State& state) {
   // CREATEMESSAGE on a converged node: one message allocation plus one
@@ -462,18 +374,6 @@ void BM_CrossShardMailbox(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_CrossShardMailbox)->Arg(16)->Arg(256)->Arg(4096);
-
-void BM_PayloadMakeUniqueBaseline(benchmark::State& state) {
-  // Baseline for BM_PayloadPoolStoreTake: the allocation alone, without the
-  // pool bookkeeping (the pre-overhaul engine carried the pointer inside the
-  // heap node, so its per-event cost was this plus the fat-heap churn).
-  for (auto _ : state) {
-    auto payload = std::make_unique<BenchPayload>();
-    benchmark::DoNotOptimize(payload.get());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_PayloadMakeUniqueBaseline);
 
 }  // namespace
 }  // namespace bsvc

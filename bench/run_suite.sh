@@ -21,10 +21,8 @@ out_dir="${2:-bench-results}"
 shift $(( $# >= 2 ? 2 : $# )) || true
 
 benches=(
-  fig3_no_failures
   fig4_message_drop
   churn
-  scalability
   param_sweep
   ablation_feedback
   chord_on_demand
@@ -42,7 +40,7 @@ benches=(
 
 # Benches that support per-replica JSONL event traces (--trace); the suite
 # archives those next to the JSON reports for offline analysis.
-traced=(fig3_no_failures fig4_message_drop churn)
+traced=(scale fig4_message_drop churn)
 
 # Benches that carry an allocation census (the counting allocator +
 # per-tier "alloc" report section). These always emit the census, so a

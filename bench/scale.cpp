@@ -1,15 +1,31 @@
-// Scale sweep: the paper-full convergence run (N = 2^14, 2^16, 2^18 under
-// --full; the smoke ladder otherwise) with one replica per size, timed
-// per size. Exports BENCH_scale.json carrying the headline throughput
-// (events_per_sec), peak RSS, and a heap-allocation census: this TU
-// replaces the global operator new/delete so every run reports
-// allocations per bootstrap exchange — the tripwire for the
-// allocation-lean CREATEMESSAGE path (docs/architecture.md).
+// Convergence sweep: the paper's failure-free bootstrap swept over network
+// size, and the one driver for both experiments built on it.
+//   - Figure 3: convergence of leaf sets (top) and prefix tables (bottom),
+//     the per-cycle proportion of missing entries of every replica. Paper
+//     settings: 64-bit IDs, b=4, k=3, c=20, cr=30; N = 2^14, 2^16, 2^18 with
+//     4/2/1 repeats under --full (or REPRO_FULL=1), the smoke tier otherwise.
+//   - §5/§7 scalability: "the time required to reach a desired quality of
+//     the leaf sets increases by an additive constant despite a four-fold
+//     increase in the network size". Cycles-to-perfect and per-node cost
+//     over the dense ladder (kLadderSizes plus the tier's sizes), with a
+//     least-squares fit against log2(N).
+// One spec list serves both: the tier's (size, rep) replicas seeded
+// replica_seed(base, idx), then one replica for each ladder size the tier
+// lacks. Rep 0 of every size runs first, sequentially and timed, and
+// exports BENCH_scale.json's headline throughput (events_per_sec), peak RSS
+// and heap-allocation census: this TU replaces the global operator
+// new/delete so every run reports allocations per bootstrap exchange — the
+// tripwire for the allocation-lean CREATEMESSAGE path
+// (docs/architecture.md). The repeats run afterwards, fanned out across
+// --threads, so they perturb neither the timing nor the census.
 //
-// Sizes come from bench_common.hpp's kSmokeSizes/kFullSizes ladder — the
-// single source of truth shared with every other bench and EXPERIMENTS.md.
+// Sizes come from bench_common.hpp's kSmokeSizes/kFullSizes/kLadderSizes —
+// the single source of truth shared with every other bench and
+// EXPERIMENTS.md.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -97,9 +113,10 @@ int main(int argc, char** argv) {
             {std::begin(kSmokeRepeats), std::end(kSmokeRepeats)}};
   }
   // --xl swaps in the large scale tier (N = 2^20, 2^21): one replica each,
-  // far beyond the paper sweep. Meant to be combined with --shards and
-  // usually a reduced --max-cycles.
-  if (flags.get_bool("xl", false)) {
+  // far beyond the paper sweep and without the ladder. Meant to be combined
+  // with --shards and usually a reduced --max-cycles.
+  const bool xl = flags.get_bool("xl", false);
+  if (xl) {
     tier.sizes = {std::size_t{1} << 20, std::size_t{1} << 21};
     tier.repeats = {1, 1};
   }
@@ -107,48 +124,64 @@ int main(int argc, char** argv) {
   const auto max_cycles = static_cast<std::size_t>(flags.get_int("max-cycles", 60));
   const std::size_t threads = threads_flag(flags);
   const std::size_t shards = shards_flag(flags);
-  // --shard-sweep=1,2,4,8 re-runs the tier's largest size once per shard
+  // --shard-sweep=1,2,4,8 re-runs the sweep's largest size once per shard
   // count after the main sweep ("N=<n> K=<k>" series) — the intra-run
   // scaling measurement.
   const std::vector<std::size_t> shard_sweep =
       parse_shard_list(flags, flags.get_string("shard-sweep", ""));
-  // --profile <file>: window-profiler Chrome trace for the largest main-
-  // sweep run. Shard-sweep runs write derived "<stem>_K<k><ext>" files.
+  // --profile <file>: window-profiler Chrome trace for the largest timed
+  // run. Shard-sweep runs write derived "<stem>_K<k><ext>" files.
   const std::string profile_path = flags.get_string("profile", "");
   const bool spans_enabled = flags.get_bool("spans", false);
   BenchReport report(flags, "scale");
   apply_log_level_flag(flags);
 
-  // One replica per size: the sweep measures how throughput and memory move
-  // with N, so per-size wall clocks must not share a core with a sibling
-  // replica. Runs are sequential whatever --threads says; output is
-  // byte-identical across thread counts by construction.
+  // Fig. 3's replicas first, in (size, rep) order, then the ladder sizes the
+  // tier lacks: every replica's seed is replica_seed(base, its index).
   std::vector<ReplicaSpec> specs;
-  for (std::size_t s = 0; s < tier.sizes.size(); ++s) {
+  std::vector<std::size_t> timed;    // rep 0 of every size
+  std::vector<std::size_t> repeats;  // rep >= 1
+  const auto add_spec = [&](std::size_t n, std::size_t rep) {
+    (rep == 0 ? timed : repeats).push_back(specs.size());
     ReplicaSpec spec;
-    spec.cfg.n = tier.sizes[s];
-    spec.cfg.seed = replica_seed(base_seed, s);
+    spec.cfg.n = n;
+    spec.cfg.seed = replica_seed(base_seed, specs.size());
     spec.cfg.max_cycles = max_cycles;
-    spec.cfg.shards = shards;
-    spec.label = "N=" + std::to_string(spec.cfg.n);
+    spec.label = "N=" + std::to_string(n) + " rep=" + std::to_string(rep);
     specs.push_back(std::move(spec));
+  };
+  for (std::size_t s = 0; s < tier.sizes.size(); ++s) {
+    for (std::size_t rep = 0; rep < tier.repeats[s]; ++rep) add_spec(tier.sizes[s], rep);
   }
+  const std::size_t fig3_count = specs.size();
+  if (!xl) {
+    for (const std::size_t n : kLadderSizes) {
+      if (std::find(tier.sizes.begin(), tier.sizes.end(), n) == tier.sizes.end()) {
+        add_spec(n, 0);
+      }
+    }
+  }
+  std::sort(timed.begin(), timed.end(),
+            [&](std::size_t a, std::size_t b) { return specs[a].cfg.n < specs[b].cfg.n; });
   apply_obs_flags(flags, specs);
   // Profile the largest size: the headline run, and the one whose window
   // occupancy is most representative of the sweep.
-  if (!profile_path.empty() && !specs.empty()) {
-    specs.back().cfg.profile_path = profile_path;
-  }
+  ReplicaSpec& largest = specs[timed.back()];
+  if (!profile_path.empty()) largest.cfg.profile_path = profile_path;
   flags.finish();
   report.set_threads(threads);
   report.add_metric("shards", static_cast<double>(shards));
 
-  std::printf("=== scale sweep: %zu sizes, b=4, k=3, c=20, cr=30 ===\n", specs.size());
+  // The timed runs go one at a time whatever --threads says: per-size wall
+  // clocks must not share a core with a sibling replica.
+  std::printf("=== scale sweep: %zu sizes, b=4, k=3, c=20, cr=30 ===\n", timed.size());
   AllocCensus census;
   census.budget_allocs_per_exchange = kAllocBudgetPerExchange;
   census.rss_reset_supported = reset_peak_rss();
-  std::vector<LabelledRun> runs;
-  for (const auto& spec : specs) {
+  std::vector<LabelledRun> runs(specs.size());
+  for (const std::size_t i : timed) {
+    const ReplicaSpec& spec = specs[i];
+    const std::string tier_label = "N=" + std::to_string(spec.cfg.n);
     std::fprintf(stderr, "running %s...\n", spec.label.c_str());
     // Rewind the RSS high-water mark so each tier reports its own peak, not
     // the largest predecessor's (no-op where clear_refs is unsupported).
@@ -195,31 +228,90 @@ int main(int argc, char** argv) {
     std::printf("%-10s converged at cycle %3d  events=%llu  wall=%.2fs  "
                 "events/sec=%.0f  allocs/exchange=%.1f (steady %.2f)  "
                 "peak_rss=%.1fMB\n",
-                spec.label.c_str(), result.converged_cycle,
+                tier_label.c_str(), result.converged_cycle,
                 static_cast<unsigned long long>(result.events_dispatched), secs, eps, ape,
                 steady_ape, static_cast<double>(tier_rss) / (1024.0 * 1024.0));
-    report.add_metric(spec.label + " events_per_sec", eps);
-    report.add_metric(spec.label + " wall_seconds", secs);
-    report.add_metric(spec.label + " allocs_per_exchange", ape);
-    report.add_metric(spec.label + " steady_allocs_per_exchange", steady_ape);
-    report.add_metric(spec.label + " heap_allocations", static_cast<double>(allocs));
-    report.add_metric(spec.label + " peak_rss_bytes", static_cast<double>(tier_rss));
-    census.tiers.push_back({spec.label, allocs, exchanges, ape, steady_allocs,
+    report.add_metric(tier_label + " events_per_sec", eps);
+    report.add_metric(tier_label + " wall_seconds", secs);
+    report.add_metric(tier_label + " allocs_per_exchange", ape);
+    report.add_metric(tier_label + " steady_allocs_per_exchange", steady_ape);
+    report.add_metric(tier_label + " heap_allocations", static_cast<double>(allocs));
+    report.add_metric(tier_label + " peak_rss_bytes", static_cast<double>(tier_rss));
+    census.tiers.push_back({tier_label, allocs, exchanges, ape, steady_allocs,
                             steady_exchanges, steady_ape, tier_rss});
     // Last one wins: the report carries the largest size's aggregates.
     if (result.has_spans) report.set_spans(result.span_summary);
     if (result.has_profile) report.set_profile(result.profile_summary);
-    runs.push_back({spec.label, std::move(result)});
+    runs[i] = {spec.label, std::move(result)};
   }
   report.set_alloc(census);
-  print_runs("scale sweep", runs);
+
+  std::vector<ReplicaSpec> repeat_specs;
+  for (const std::size_t i : repeats) repeat_specs.push_back(specs[i]);
+  auto repeat_runs = run_replicas(repeat_specs, threads);
+  for (std::size_t j = 0; j < repeats.size(); ++j) runs[repeats[j]] = std::move(repeat_runs[j]);
   for (const auto& run : runs) report.add_run(run.label, run.result);
 
+  std::printf("=== Figure 3: no failures (b=4, k=3, c=20, cr=30) ===\n");
+  print_runs("Figure 3", std::span(runs).first(fig3_count));
+
+  // The paper's headline scaling claim: a four-fold increase in N costs an
+  // additive constant in convergence time (logarithmic growth).
+  std::printf("=== Scalability: convergence time vs network size ===\n");
+  Table table({"N", "log2(N)", "leaf_cycles", "prefix_cycles", "both_cycles",
+               "bootstrap_msgs/node", "bootstrap_kB/node", "avg_msg_B"});
+  std::vector<std::pair<double, double>> points;  // (log2 N, cycles)
+  for (const std::size_t i : timed) {
+    const std::size_t n = specs[i].cfg.n;
+    const auto& r = runs[i].result;
+    const auto& s = r.bootstrap_stats;
+    const double msgs_per_node =
+        static_cast<double>(s.requests_sent + s.replies_sent) / static_cast<double>(n);
+    const double kb_per_node =
+        static_cast<double>(s.payload_bytes_sent) / static_cast<double>(n) / 1024.0;
+    table.add_row({std::to_string(n), Table::num(std::log2(static_cast<double>(n)), 3),
+                   std::to_string(r.leaf_converged_cycle),
+                   std::to_string(r.prefix_converged_cycle),
+                   std::to_string(r.converged_cycle), Table::num(msgs_per_node, 4),
+                   Table::num(kb_per_node, 4), Table::num(r.avg_message_bytes, 4)});
+    if (r.converged_cycle >= 0) {
+      points.emplace_back(std::log2(static_cast<double>(n)),
+                          static_cast<double>(r.converged_cycle));
+    }
+  }
+  std::printf("%s\n", table.render().c_str());
+  for (const std::size_t i : timed) {
+    for (const std::size_t j : timed) {
+      const int from = runs[j].result.converged_cycle;
+      const int to = runs[i].result.converged_cycle;
+      if (specs[i].cfg.n == specs[j].cfg.n * 4 && from >= 0 && to >= 0) {
+        std::printf("# 4x growth %zu -> %zu: %+d cycles (paper: additive constant)\n",
+                    specs[j].cfg.n, specs[i].cfg.n, to - from);
+      }
+    }
+  }
+  // Least-squares fit cycles = a*log2(N) + b as the scaling summary.
+  if (points.size() >= 2) {
+    double sx = 0, sy = 0, sxx = 0, sxy = 0;
+    for (const auto& [x, y] : points) {
+      sx += x;
+      sy += y;
+      sxx += x * x;
+      sxy += x * y;
+    }
+    const double m = static_cast<double>(points.size());
+    const double a = (m * sxy - sx * sy) / (m * sxx - sx * sx);
+    const double b = (sy - a * sx) / m;
+    std::printf("# fit: cycles_to_perfect ~ %.2f * log2(N) + %.2f\n", a, b);
+    report.add_metric("fit_slope_cycles_per_log2N", a);
+    report.add_metric("fit_intercept_cycles", b);
+  }
+
   if (!shard_sweep.empty()) {
-    // Same network, same seed, one run per shard count: the trajectory is
-    // identical for every K, so the wall-clock ratio isolates the engine's
-    // intra-run scaling.
-    const std::size_t sweep_n = tier.sizes.back();
+    // Same network, same seed as the largest timed run, one run per shard
+    // count: the trajectory is identical for every K, so the wall-clock
+    // ratio isolates the engine's intra-run scaling.
+    const std::size_t sweep_n = largest.cfg.n;
     std::printf("=== shard sweep: N=%zu, K in {", sweep_n);
     for (std::size_t i = 0; i < shard_sweep.size(); ++i) {
       std::printf("%s%zu", i == 0 ? "" : ",", shard_sweep[i]);
@@ -228,7 +320,7 @@ int main(int argc, char** argv) {
     for (const std::size_t k : shard_sweep) {
       ExperimentConfig cfg;
       cfg.n = sweep_n;
-      cfg.seed = replica_seed(base_seed, tier.sizes.size() - 1);
+      cfg.seed = largest.cfg.seed;
       cfg.max_cycles = max_cycles;
       cfg.shards = k;
       cfg.spans = spans_enabled;
