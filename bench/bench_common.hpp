@@ -163,7 +163,8 @@ struct ReplicaSpec {
 /// Applies the shared observability flags to a prepared replica set:
 ///   --sample-every=<cycles>  metric snapshot cadence (default 1; 0 disables)
 ///   --trace=<prefix>         per-replica JSONL engine traces written to
-///                            "<prefix>_<index>.jsonl"
+///                            "<prefix>_<index>.jsonl" (bench/scale writes
+///                            them for its untimed repeats only)
 ///   --spans                  per-exchange causal spans (latency percentiles
 ///                            and outcome counts in the report's "spans"
 ///                            section; see docs/observability.md)

@@ -1,11 +1,12 @@
 // Data-structure level microbenchmarks (google-benchmark): the per-message
 // costs that dominate a simulated cycle — UPDATELEAFSET, UPDATEPREFIXTABLE,
-// CREATEMESSAGE — plus the convergence oracle build that the experiment
-// harness amortizes across cycles, and the engine hot path: the two-tier
-// event queue, payload pooling, the send→dispatch round trip and the
-// window primitives.
+// CREATEMESSAGE, the Pastry next hop — plus the convergence oracle build
+// that the experiment harness amortizes across cycles, and the engine hot
+// path: the two-tier event queue, payload pooling, the send→dispatch round
+// trip and the window primitives.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 
@@ -17,6 +18,7 @@
 #include "core/prefix_table.hpp"
 #include "id/id_generator.hpp"
 #include "obs/trace.hpp"
+#include "overlay/pastry_router.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/payload.hpp"
@@ -144,6 +146,41 @@ void BM_PrefixTableInsertAllSaturated(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
 }
 BENCHMARK(BM_PrefixTableInsertAllSaturated);
+
+void BM_LeafSetUpdateSaturated(benchmark::State& state) {
+  // UPDATELEAFSET's real shape: a full c = 20 set already holding its true
+  // ring neighbours, and one received message of ~109 descriptors (the
+  // sender's ring neighbourhood, which overlaps the set, plus prefix-table
+  // and sampled entries from anywhere), the same shape as
+  // BM_PrefixTableInsertAllSaturated. Items are incoming descriptors.
+  constexpr std::size_t kBatch = 109;
+  constexpr std::size_t kNear = 20;
+  const auto pool = members(8192);
+  const NodeId own = pool[0].id;
+  LeafSet ls(own, 20);
+  ls.update(std::span(pool.data() + 1, pool.size() - 1));
+  DescriptorList near(pool.begin() + 1, pool.end());
+  std::sort(near.begin(), near.end(), [own](const NodeDescriptor& a, const NodeDescriptor& b) {
+    return closer_on_ring(own, a.id, b.id);
+  });
+  near.resize(2 * kNear);
+  Rng rng(11);
+  std::vector<DescriptorList> batches(64);
+  for (auto& batch : batches) {
+    batch.reserve(kBatch);
+    for (std::size_t i = 0; i < kNear; ++i) batch.push_back(near[rng.below(near.size())]);
+    while (batch.size() < kBatch) batch.push_back(pool[1 + rng.below(pool.size() - 1)]);
+    rng.shuffle(batch);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    ls.update(batches[next]);
+    benchmark::DoNotOptimize(ls.size());
+    next = (next + 1) % batches.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBatch));
+}
+BENCHMARK(BM_LeafSetUpdateSaturated);
 
 void BM_RingSortByDistance(benchmark::State& state) {
   // The dominant kernel of CREATEMESSAGE: ordering the candidate union by
@@ -281,6 +318,34 @@ void BM_CreateMessageSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_CreateMessageSteadyState);
+
+void BM_PastryNextHop(benchmark::State& state) {
+  // One routing decision at a converged node, with the liveness predicate
+  // the workload layer routes with (a dead entry is skipped). Keys are
+  // uniform, so most decisions take a prefix cell; items are decisions.
+  ExperimentConfig cfg;
+  cfg.n = 1 << 10;
+  cfg.seed = 99;
+  cfg.max_cycles = 60;
+  BootstrapExperiment exp(cfg);
+  exp.run();
+  const Engine& engine = exp.engine();
+  const auto& proto = exp.bootstrap_slot().of(engine, 0);
+  const std::function<bool(const NodeDescriptor&)> usable = [&engine](const NodeDescriptor& d) {
+    return d.addr < engine.node_count() && engine.is_alive(d.addr);
+  };
+  Rng rng(13);
+  std::vector<NodeId> keys(256);
+  for (auto& k : keys) k = rng.next_u64();
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pastry_next_hop(engine.id_of(0), 0, proto.leaf_set(),
+                                             proto.prefix_table(), keys[next], usable));
+    next = (next + 1) % keys.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PastryNextHop);
 
 // Full engine send→window→dispatch round trip, quantifying the window
 // machinery and the observability hook overhead (docs/observability.md

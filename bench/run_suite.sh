@@ -39,7 +39,9 @@ benches=(
 )
 
 # Benches that support per-replica JSONL event traces (--trace); the suite
-# archives those next to the JSON reports for offline analysis.
+# archives those next to the JSON reports for offline analysis. `scale`
+# traces only its repeats (rep >= 1), so its timed tiers stay comparable
+# with CI's untraced command and the committed baseline.
 traced=(scale fig4_message_drop churn)
 
 # Benches that carry an allocation census (the counting allocator +

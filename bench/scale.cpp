@@ -164,6 +164,9 @@ int main(int argc, char** argv) {
   std::sort(timed.begin(), timed.end(),
             [&](std::size_t a, std::size_t b) { return specs[a].cfg.n < specs[b].cfg.n; });
   apply_obs_flags(flags, specs);
+  // --trace covers the repeats only: trace I/O inside a timed run would
+  // make its wall clock and events/sec incomparable with untraced runs.
+  for (const std::size_t i : timed) specs[i].cfg.trace_path.clear();
   // Profile the largest size: the headline run, and the one whose window
   // occupancy is most representative of the sweep.
   ReplicaSpec& largest = specs[timed.back()];

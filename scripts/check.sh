@@ -29,8 +29,9 @@ case "${sanitizer}" in
     # utilities (tests/test_parallel.cpp), ParallelEngine the sharded window
     # engine (tests/test_parallel_engine.cpp — cross-K determinism under
     # real thread interleaving is exactly what TSan stresses), WindowCrew
-    # the crew barrier itself.
-    test_filter='ThreadPool|ParallelFor|ParallelMap|ParallelEngine|WindowCrew|HardwareThreads'
+    # the crew barrier itself, OracleLanes the convergence oracle's rank
+    # ranges on the crew between windows (tests/test_oracle.cpp).
+    test_filter='ThreadPool|ParallelFor|ParallelMap|ParallelEngine|WindowCrew|HardwareThreads|OracleLanes'
     ;;
   *)
     echo "unknown sanitizer '${sanitizer}' (expected asan, ubsan or tsan)" >&2

@@ -93,14 +93,29 @@ LeafSet& LeafSet::operator=(LeafSet&& other) noexcept {
 
 void LeafSet::update(std::span<const NodeDescriptor> incoming) {
   // Merge current content and the parameter set, then rebuild both sides.
+  // A full set first drops incoming descriptors that cannot be selected. If
+  // one side holds at most c/2 entries, the rebuild keeps at least that many
+  // there (held entries stay candidates), so the other side cannot grow past
+  // its held count: nothing beyond its farthest held entry can enter. Equal
+  // distance means the same ID and still passes (the same-ID rule).
   auto& candidates = candidate_scratch();
   candidates.clear();
+  const std::size_t n = size();
   const NodeId* id = ids();
   const Address* addr = addrs();
-  for (std::size_t i = 0; i < size(); ++i) candidates.push_back({id[i], addr[i]});
+  for (std::size_t i = 0; i < n; ++i) candidates.push_back({id[i], addr[i]});
+  NodeId succ_bound = ~NodeId{0};  // farthest successor distance that may enter
+  NodeId pred_bound = ~NodeId{0};
+  if (n == capacity_) {
+    const std::size_t half = capacity_ / 2;
+    if (pred_count_ <= half) succ_bound = successor_distance(own_, id[succ_count_ - 1]);
+    if (succ_count_ <= half) pred_bound = predecessor_distance(own_, id[n - 1]);
+  }
   for (const auto& d : incoming) {
     if (d.id == own_ || d.addr == kNullAddress) continue;
-    candidates.push_back(d);
+    const NodeId sd = successor_distance(own_, d.id);
+    const NodeId pd = predecessor_distance(own_, d.id);
+    if (sd <= pd ? sd <= succ_bound : pd <= pred_bound) candidates.push_back(d);
   }
   rebuild(candidates);
 }

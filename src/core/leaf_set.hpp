@@ -44,6 +44,9 @@ class LeafSet {
   /// UPDATELEAFSET: tries to improve the set with the given descriptors.
   /// Descriptors equal to the own ID and null addresses are ignored. One ID
   /// bound to several addresses (held or incoming) keeps the lowest address.
+  /// A full set sorts only the incoming descriptors it could select, with
+  /// its held entries: those beyond an edge the rebuild cannot move are
+  /// skipped.
   void update(std::span<const NodeDescriptor> incoming);
 
   /// Removes an entry (used when a peer is detected dead). Returns whether

@@ -56,10 +56,32 @@ ConvergenceOracle::ConvergenceOracle(const Engine& engine, std::vector<NodeDescr
 }
 
 ConvergenceMetrics ConvergenceOracle::measure(bool check_liveness) const {
+  // One contiguous rank range per engine lane, run between windows. The
+  // partial sums are integers, so the total is the same for every K.
+  const std::size_t n = tables_.sorted_members().size();
+  const std::size_t lanes = engine_.shards();
+  std::vector<ConvergenceMetrics> partial(lanes);
+  engine_.run_on_lanes([&](std::size_t lane) {
+    partial[lane] = measure_ranks(n * lane / lanes, n * (lane + 1) / lanes, check_liveness);
+  });
+  ConvergenceMetrics metrics;
+  for (const ConvergenceMetrics& p : partial) {
+    metrics.leaf_perfect += p.leaf_perfect;
+    metrics.leaf_present += p.leaf_present;
+    metrics.prefix_perfect += p.prefix_perfect;
+    metrics.prefix_present += p.prefix_present;
+  }
+  BSVC_CHECK(metrics.leaf_present <= metrics.leaf_perfect);
+  BSVC_CHECK(metrics.prefix_present <= metrics.prefix_perfect);
+  return metrics;
+}
+
+ConvergenceMetrics ConvergenceOracle::measure_ranks(std::size_t first, std::size_t last,
+                                                    bool check_liveness) const {
   ConvergenceMetrics metrics;
   const auto& members = tables_.sorted_members();
   const std::size_t n = members.size();
-  for (std::size_t rank = 0; rank < n; ++rank) {
+  for (std::size_t rank = first; rank < last; ++rank) {
     const Address addr = members[rank].addr;
 
     const PerfectTables::LeafSpan span = tables_.leaf_span(rank);
@@ -123,8 +145,6 @@ ConvergenceMetrics ConvergenceOracle::measure(bool check_liveness) const {
       metrics.prefix_present += node_prefix.filled();
     }
   }
-  BSVC_CHECK(metrics.leaf_present <= metrics.leaf_perfect);
-  BSVC_CHECK(metrics.prefix_present <= metrics.prefix_perfect);
   return metrics;
 }
 

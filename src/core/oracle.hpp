@@ -75,7 +75,8 @@ class ConvergenceOracle {
 
   /// Measures both metrics across all alive nodes that have an activated
   /// bootstrap protocol. If `check_liveness` is true (churn scenarios),
-  /// table entries pointing at dead nodes do not count as present.
+  /// table entries pointing at dead nodes do not count as present. Call
+  /// between windows: the ranks are split across the engine's lanes.
   ConvergenceMetrics measure(bool check_liveness = false) const;
 
   // --- exposed for tests and routing validation --------------------------
@@ -95,6 +96,9 @@ class ConvergenceOracle {
 
  private:
   std::size_t rank_of(Address addr) const;
+  /// measure() over the members of ranks [first, last).
+  ConvergenceMetrics measure_ranks(std::size_t first, std::size_t last,
+                                   bool check_liveness) const;
 
   static std::vector<NodeDescriptor> alive_members(const Engine& engine);
 

@@ -176,14 +176,9 @@ std::size_t PrefixTable::cell_count(int row, int col) const {
   return last - first;
 }
 
-DescriptorList PrefixTable::cell(int row, int col) const {
+DescriptorView PrefixTable::cell(int row, int col) const {
   const auto [first, last] = cell_range(row, col);
-  DescriptorList out;
-  out.reserve(last - first);
-  const NodeId* ids_p = ids();
-  const Address* addrs_p = addrs();
-  for (std::size_t i = first; i < last; ++i) out.push_back({ids_p[i], addrs_p[i]});
-  return out;
+  return {ids() + first, addrs() + first, last - first};
 }
 
 void PrefixTable::append_in_ring_order(NodeId from, DescriptorList& out) const {

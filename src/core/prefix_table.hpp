@@ -69,8 +69,9 @@ class PrefixTable {
   /// Number of entries currently in cell (row, col).
   std::size_t cell_count(int row, int col) const;
 
-  /// Copies the entries of one cell (at most k).
-  DescriptorList cell(int row, int col) const;
+  /// The entries of one cell (at most k), sorted by ID. Zero-copy; like
+  /// entries(), the view is invalidated by any mutation.
+  DescriptorView cell(int row, int col) const;
 
   /// All entries, sorted by ID. This is the view CREATEMESSAGE unions into
   /// its candidate set.

@@ -74,7 +74,7 @@ void SequentialJoinNetwork::join(const NodeDescriptor& descriptor) {
         // standard Pastry ships row `depth`. Cells are scanned column-wise.
         for (int col = 0; col < config_.digits.radix(); ++col) {
           if (col == digit(hop.descriptor.id, depth, config_.digits)) continue;
-          const DescriptorList cell = hop.prefix.cell(depth, col);
+          const DescriptorView cell = hop.prefix.cell(depth, col);
           row.insert(row.end(), cell.begin(), cell.end());
         }
       }

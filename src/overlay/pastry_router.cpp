@@ -10,6 +10,9 @@ Address pastry_next_hop(NodeId own, Address own_addr, const LeafSet& leaf,
                         const PrefixTable& prefix, NodeId key,
                         const std::function<bool(const NodeDescriptor&)>& usable) {
   if (key == own || leaf.empty()) return own_addr;
+  // Every scan runs the cheap ring comparison first: `usable` may load the
+  // candidate's node (a liveness check), and the comparison rejects most
+  // entries. Both are pure, so the order does not change the hop.
   const auto ok = [&usable](const NodeDescriptor& d) { return !usable || usable(d); };
 
   // 1. Leaf-set range: if the key falls inside the ring segment the leaf set
@@ -26,7 +29,7 @@ Address pastry_next_hop(NodeId own, Address own_addr, const LeafSet& leaf,
     Address best_addr = own_addr;
     for (const auto& list : {&succ, &pred}) {
       for (const auto& d : *list) {
-        if (ok(d) && closer_on_ring(key, d.id, best_id)) {
+        if (closer_on_ring(key, d.id, best_id) && ok(d)) {
           best_id = d.id;
           best_addr = d.addr;
         }
@@ -36,22 +39,18 @@ Address pastry_next_hop(NodeId own, Address own_addr, const LeafSet& leaf,
   }
 
   // 2. Prefix table: a node sharing a strictly longer prefix with the key.
+  // Any usable entry works; prefer the one numerically closest to the key.
   const int l = common_prefix_digits(own, key, prefix.digits());
   {
-    const int j = digit(key, l, prefix.digits());
-    DescriptorList cell = prefix.cell(l, j);
-    cell.erase(std::remove_if(cell.begin(), cell.end(),
-                              [&ok](const NodeDescriptor& d) { return !ok(d); }),
-               cell.end());
-    if (!cell.empty()) {
-      // Any entry works; prefer the one numerically closest to the key.
-      const auto it =
-          std::min_element(cell.begin(), cell.end(),
-                           [key](const NodeDescriptor& a, const NodeDescriptor& b) {
-                             return closer_on_ring(key, a.id, b.id);
-                           });
-      return it->addr;
+    bool found = false;
+    NodeDescriptor best;
+    for (const auto& d : prefix.cell(l, digit(key, l, prefix.digits()))) {
+      if ((!found || closer_on_ring(key, d.id, best.id)) && ok(d)) {
+        best = d;
+        found = true;
+      }
     }
+    if (found) return best.addr;
   }
 
   // 3. Rare case: any known node with at least as long a common prefix that
@@ -59,8 +58,8 @@ Address pastry_next_hop(NodeId own, Address own_addr, const LeafSet& leaf,
   NodeId best_id = own;
   Address best_addr = own_addr;
   const auto consider = [&](const NodeDescriptor& d) {
-    if (ok(d) && common_prefix_digits(d.id, key, prefix.digits()) >= l &&
-        closer_on_ring(key, d.id, best_id)) {
+    if (closer_on_ring(key, d.id, best_id) &&
+        common_prefix_digits(d.id, key, prefix.digits()) >= l && ok(d)) {
       best_id = d.id;
       best_addr = d.addr;
     }

@@ -59,7 +59,7 @@ Address ProximityRouter::next_hop(Address node, NodeId key) const {
     if (!in_leaf_range) {
       const int l = common_prefix_digits(own, key, prefix.digits());
       const int j = digit(key, l, prefix.digits());
-      const DescriptorList cell = prefix.cell(l, j);
+      const DescriptorView cell = prefix.cell(l, j);
       if (!cell.empty()) {
         // All k alternatives advance the prefix match equally; take the one
         // with the lowest measured latency from here.
@@ -67,7 +67,7 @@ Address ProximityRouter::next_hop(Address node, NodeId key) const {
             cell.begin(), cell.end(), [&](const NodeDescriptor& a, const NodeDescriptor& b) {
               return space_.latency(node, a.addr) < space_.latency(node, b.addr);
             });
-        return it->addr;
+        return (*it).addr;
       }
     }
   }

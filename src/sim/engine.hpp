@@ -253,6 +253,16 @@ class Engine {
 
   // --- execution ------------------------------------------------------
 
+  /// Runs fn(lane) once per worker lane, lane 0 on the calling thread, and
+  /// returns when all have finished: for barrier-context observers that
+  /// split a read-only pass over the nodes into K independent parts (the
+  /// convergence oracle). Not callable inside a window; fn must only read
+  /// simulation state. K = 1 is a plain inline call.
+  void run_on_lanes(const std::function<void(std::size_t)>& fn) const {
+    BSVC_CHECK_MSG(active_shard_ == nullptr, "Engine::run_on_lanes inside a window");
+    crew_->run(fn);
+  }
+
   /// Runs events with time <= t_end, then sets now() = t_end.
   void run_until(SimTime t_end);
 

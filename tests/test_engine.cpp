@@ -284,5 +284,32 @@ TEST(EngineDeathTest, BadAddressAborts) {
   EXPECT_DEATH(e.id_of(5), "address out of range");
 }
 
+/// Calls Engine::run_on_lanes from a protocol callback, i.e. inside a window.
+class LanesFromCallback final : public Protocol {
+ public:
+  void on_start(Context& ctx) override { ctx.engine().run_on_lanes([](std::size_t) {}); }
+};
+
+TEST(EngineDeathTest, RunOnLanesInsideAWindowAborts) {
+  EXPECT_DEATH(
+      {
+        Engine e(1, TransportConfig{}, 2);
+        const Address a = e.add_node(7);
+        e.attach(a, std::make_unique<LanesFromCallback>());
+        e.start_node(a);
+        e.run_until(1);
+      },
+      "run_on_lanes inside a window");
+}
+
+TEST(Engine, RunOnLanesRunsEveryLaneOnce) {
+  for (const std::size_t k : {1u, 3u}) {
+    const Engine e(1, TransportConfig{}, k);
+    std::vector<int> hits(k, 0);
+    e.run_on_lanes([&hits](std::size_t lane) { ++hits[lane]; });
+    EXPECT_EQ(hits, std::vector<int>(k, 1)) << "K=" << k;
+  }
+}
+
 }  // namespace
 }  // namespace bsvc

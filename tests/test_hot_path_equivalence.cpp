@@ -2,24 +2,31 @@
 // PrefixTable::insert_all, both tables' append_in_ring_order, CREATEMESSAGE's
 // ring and prefix parts and the Newscast merge must match the plain
 // reference versions in tests/reference_impls.hpp element for element, in
-// order, over seeded random operation sequences. The inputs cover unsorted and flooded lists,
-// duplicate addresses with equal timestamps, future timestamps under
-// harden, and empty or one-sided leaf sets. Inputs that bind one ID to
-// several addresses are checked against the explicit same-ID rule (the
-// lowest address wins) rather than against the references, whose choice
-// there is whatever std::sort leaves first.
+// order, over seeded random operation sequences. The inputs cover unsorted
+// and flooded lists, duplicate addresses with equal timestamps, future
+// timestamps under harden, and empty or one-sided leaf sets. Inputs that
+// bind one ID to several addresses are checked against the explicit same-ID
+// rule (the lowest address wins) rather than against the references, whose
+// choice there is whatever std::sort leaves first. UPDATELEAFSET's edge
+// bound is also checked against an unbounded sort-and-select that applies
+// the same-ID rule itself, and pastry_next_hop against the
+// filter-then-min_element formulation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/bootstrap.hpp"
 #include "core/leaf_set.hpp"
 #include "core/prefix_table.hpp"
+#include "overlay/pastry_router.hpp"
 #include "sampling/newscast.hpp"
 #include "sim/engine.hpp"
 #include "tests/reference_impls.hpp"
@@ -180,6 +187,108 @@ TEST(HotPathEquivalence, LeafSetSameIdKeepsTheLowestAddress) {
       expect_lowest_addresses(to_vector(ls.all_view()), lowest_address(offered), "leaf", step);
     }
   }
+}
+
+/// UPDATELEAFSET without the edge bound: every candidate (held and
+/// incoming) sorted by successor distance with the same-ID rule applied
+/// exactly, then cut c/2 per direction with the short side's spare topping
+/// up the other. Returns successors then predecessors, each closest first.
+std::pair<DescriptorList, DescriptorList> select_unbounded(NodeId own, std::size_t c,
+                                                           DescriptorList candidates,
+                                                           std::span<const NodeDescriptor> in) {
+  for (const auto& d : in) {
+    if (d.id != own && d.addr != kNullAddress) candidates.push_back(d);
+  }
+  std::sort(candidates.begin(), candidates.end(), [own](const auto& a, const auto& b) {
+    const NodeId da = successor_distance(own, a.id);
+    const NodeId db = successor_distance(own, b.id);
+    return da != db ? da < db : a.addr < b.addr;
+  });
+  candidates.erase(std::unique(candidates.begin(), candidates.end(),
+                               [](const auto& a, const auto& b) { return a.id == b.id; }),
+                   candidates.end());
+  DescriptorList succ;
+  DescriptorList pred;
+  for (const auto& d : candidates) (is_successor(own, d.id) ? succ : pred).push_back(d);
+  std::reverse(pred.begin(), pred.end());
+  std::size_t take_s = 0;
+  std::size_t take_p = 0;
+  ref::leaf_cut(c, succ.size(), pred.size(), take_s, take_p);
+  succ.resize(take_s);
+  pred.resize(take_p);
+  return {succ, pred};
+}
+
+TEST(HotPathEquivalence, LeafSetBoundedUpdateMatchesUnboundedSelection) {
+  // Dense ID clusters on both sides of the own ID, so messages keep landing
+  // just inside and just outside the edges of a full set.
+  std::size_t bounded_cases = 0;
+  for (const std::uint64_t seed : kSeeds) {
+    for (const std::size_t c : {2u, 3u, 4u, 5u, 8u, 9u, 20u, 21u}) {
+      Rng rng(seed * 131 + c);
+      const NodeId own = rng.next_u64();
+      // Predecessor-poor pools make one side short, so the other tops up.
+      const std::size_t n_succ = 1 + rng.below(3 * c);
+      const std::size_t n_pred = rng.chance(0.3) ? rng.below(c / 2 + 1) : 1 + rng.below(3 * c);
+      std::vector<NodeId> pool;
+      for (std::size_t i = 0; i < n_succ; ++i) pool.push_back(own + 1 + rng.below(1u << 12));
+      for (std::size_t i = 0; i < n_pred; ++i) pool.push_back(own - 1 - rng.below(1u << 12));
+      // One address per ID as a default; the message builder rebinds some.
+      const auto addr_of = [](NodeId id) { return static_cast<Address>(100 + (id & 0xFF)); };
+      LeafSet ls(own, c);
+      for (std::size_t step = 0; step < 300; ++step) {
+        const DescriptorList held = to_vector(ls.all_view());
+        if (rng.chance(0.1) && !held.empty()) {
+          ls.remove(held[rng.below(held.size())].id);
+        } else {
+          DescriptorList msg;
+          const std::size_t len = rng.chance(0.1) ? 109 : rng.below(2 * c + 1);
+          for (std::size_t i = 0; i < len; ++i) {
+            const NodeId id = pool[rng.below(pool.size())];
+            msg.push_back({id, addr_of(id)});
+            if (rng.chance(0.1)) msg.push_back(msg.back());  // duplicate inside the message
+          }
+          for (const auto& h : held) {
+            // The held binding of an ID rebound to a lower or higher address,
+            // and IDs one step beyond or inside each held entry.
+            if (rng.chance(0.05)) msg.push_back({h.id, h.addr - 1});
+            if (rng.chance(0.05)) msg.push_back({h.id, h.addr + 1});
+            if (rng.chance(0.05)) msg.push_back({h.id + 1, addr_of(h.id + 1)});
+            if (rng.chance(0.05)) msg.push_back({h.id - 1, addr_of(h.id - 1)});
+          }
+          if (rng.chance(0.1)) msg.push_back({own, 1});
+          if (rng.chance(0.1)) msg.push_back({pool[0], kNullAddress});
+          rng.shuffle(msg);
+          // Does the bound skip anything in this case?
+          if (held.size() == c) {
+            const auto& succ = ls.successors();
+            const auto& pred = ls.predecessors();
+            for (const auto& d : msg) {
+              if (d.id == own) continue;
+              const bool beyond =
+                  is_successor(own, d.id)
+                      ? pred.size() <= c / 2 &&
+                            successor_distance(own, d.id) > successor_distance(own, succ.back().id)
+                      : succ.size() <= c / 2 && predecessor_distance(own, d.id) >
+                                                    predecessor_distance(own, pred.back().id);
+              if (beyond) {
+                ++bounded_cases;
+                break;
+              }
+            }
+          }
+          const auto [want_succ, want_pred] = select_unbounded(own, c, held, msg);
+          ls.update(msg);
+          ASSERT_EQ(to_vector(ls.successors()), want_succ)
+              << "seed " << seed << " c " << c << " step " << step;
+          ASSERT_EQ(to_vector(ls.predecessors()), want_pred)
+              << "seed " << seed << " c " << c << " step " << step;
+        }
+      }
+    }
+  }
+  // The bound did fire: these cases ran the skip path.
+  EXPECT_GT(bounded_cases, 1000u);
 }
 
 // --- PrefixTable::insert_all ---------------------------------------------------
@@ -457,6 +566,91 @@ TEST(HotPathEquivalence, NewscastMergeMatchesReference) {
           }
           expect_same_view(node.view(), want, step);
           EXPECT_EQ(rejected() - rejected_before, want_rejected) << "step " << step;
+        }
+      }
+    }
+  }
+}
+
+
+// --- pastry_next_hop -------------------------------------------------------------
+
+/// The next-hop decision written the plain way: filter each candidate list
+/// through `usable` first, then pick by ring order with std::min_element.
+Address next_hop_reference(NodeId own, Address own_addr, const LeafSet& leaf,
+                           const PrefixTable& prefix, NodeId key,
+                           const std::function<bool(const NodeDescriptor&)>& usable) {
+  if (key == own || leaf.empty()) return own_addr;
+  const auto filtered = [&](DescriptorList ds) {
+    if (usable) std::erase_if(ds, [&](const NodeDescriptor& d) { return !usable(d); });
+    return ds;
+  };
+  const auto closest = [key](const DescriptorList& ds) {
+    return std::min_element(ds.begin(), ds.end(), [key](const auto& a, const auto& b) {
+      return closer_on_ring(key, a.id, b.id);
+    });
+  };
+  const auto succ = to_vector(leaf.successors());
+  const auto pred = to_vector(leaf.predecessors());
+  if ((!succ.empty() &&
+       successor_distance(own, key) <= successor_distance(own, succ.back().id)) ||
+      (!pred.empty() &&
+       predecessor_distance(own, key) <= predecessor_distance(own, pred.back().id))) {
+    DescriptorList all = filtered(to_vector(leaf.all_view()));
+    all.push_back({own, own_addr});
+    return closest(all)->addr;
+  }
+  const int l = common_prefix_digits(own, key, prefix.digits());
+  const DescriptorList cell = filtered(to_vector(prefix.cell(l, digit(key, l, prefix.digits()))));
+  if (!cell.empty()) return closest(cell)->addr;
+  DescriptorList known = filtered(to_vector(leaf.all_view()));
+  const DescriptorList entries = filtered(to_vector(prefix.entries()));
+  known.insert(known.end(), entries.begin(), entries.end());
+  std::erase_if(known, [&](const NodeDescriptor& d) {
+    return common_prefix_digits(d.id, key, prefix.digits()) < l;
+  });
+  known.push_back({own, own_addr});
+  return closest(known)->addr;
+}
+
+TEST(HotPathEquivalence, PastryNextHopMatchesFilterThenMinElement) {
+  for (const std::uint64_t seed : kSeeds) {
+    for (const int b : {1, 2, 4}) {
+      Rng rng(seed * 37 + static_cast<std::uint64_t>(b));
+      const DigitConfig digits{b};
+      const NodeId own = rng.next_u64();
+      const Address own_addr = 0;
+      LeafSet leaf(own, 2 + rng.below(20));
+      PrefixTable prefix(own, digits, 1 + static_cast<int>(rng.below(3)));
+      // Addresses 1..n; IDs spread over the ring and clustered near the own
+      // ID, so keys hit the leaf range, filled cells and empty cells.
+      DescriptorList pool;
+      for (Address a = 1; a <= 400; ++a) {
+        const NodeId off = rng.next_u64() >> rng.below(60);
+        pool.push_back({a % 3 == 0 ? rng.next_u64() : rng.chance(0.5) ? own + off : own - off, a});
+      }
+      leaf.update(pool);
+      prefix.insert_all(pool);
+      for (const double dead_frac : {0.0, 0.3, 0.8, 1.0}) {
+        std::vector<bool> alive(pool.size() + 1);
+        for (std::size_t a = 1; a < alive.size(); ++a) alive[a] = !rng.chance(dead_frac);
+        const auto is_alive = [&alive](const NodeDescriptor& d) {
+          return d.addr < alive.size() && alive[d.addr];
+        };
+        for (int i = 0; i < 400; ++i) {
+          const NodeDescriptor near = pool[rng.below(pool.size())];
+          const NodeId key = rng.chance(0.5)   ? rng.next_u64()
+                             : rng.chance(0.5) ? near.id + rng.below(3) - 1
+                                               : own + rng.below(1u << 20) - (1u << 19);
+          const Address exclude = near.addr;
+          const std::function<bool(const NodeDescriptor&)> predicates[] = {
+              nullptr, is_alive,
+              [&](const NodeDescriptor& d) { return d.addr != exclude && is_alive(d); }};
+          for (const auto& usable : predicates) {
+            ASSERT_EQ(pastry_next_hop(own, own_addr, leaf, prefix, key, usable),
+                      next_hop_reference(own, own_addr, leaf, prefix, key, usable))
+                << "seed " << seed << " b " << b << " dead " << dead_frac << " key " << key;
+          }
         }
       }
     }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/experiment.hpp"
 
 namespace bsvc {
@@ -105,6 +108,78 @@ TEST(Oracle, OwnerLookupAgreesWithPerfectTables) {
   for (int i = 0; i < 200; ++i) {
     const NodeId key = rng.next_u64();
     EXPECT_EQ(oracle.owner_of(key).id, oracle.perfect().owner_of(key).id);
+  }
+}
+
+// --- measure() on the engine's lanes --------------------------------------
+//
+// measure() splits its rank loop into one range per engine lane. The same
+// trajectory at K = 1..4 must give the same metrics every cycle: the full
+// oracle under churn (check_liveness), and subset (partition) oracles with
+// and without the liveness check, one of them smaller than K.
+
+struct LaneSample {
+  ConvergenceMetrics full;
+  ConvergenceMetrics half_strict;
+  ConvergenceMetrics half_lax;
+  ConvergenceMetrics tiny;
+};
+
+void expect_same(const ConvergenceMetrics& got, const ConvergenceMetrics& want,
+                 const char* what, std::size_t k, std::size_t cycle) {
+  EXPECT_EQ(got.leaf_perfect, want.leaf_perfect) << what << " K=" << k << " cycle " << cycle;
+  EXPECT_EQ(got.leaf_present, want.leaf_present) << what << " K=" << k << " cycle " << cycle;
+  EXPECT_EQ(got.prefix_perfect, want.prefix_perfect) << what << " K=" << k << " cycle " << cycle;
+  EXPECT_EQ(got.prefix_present, want.prefix_present) << what << " K=" << k << " cycle " << cycle;
+}
+
+std::vector<LaneSample> sample_at_lanes(std::size_t shards) {
+  ExperimentConfig cfg = base_config(384, 8);
+  cfg.shards = shards;
+  cfg.max_cycles = 14;
+  cfg.stop_at_convergence = false;
+  cfg.churn_fail_rate = 0.02;
+  cfg.churn_join_rate = 0.02;
+  // The sampler probe measures too, from a scheduled call at a barrier.
+  cfg.sample_every_cycles = 1;
+  BootstrapExperiment exp(cfg);
+  std::vector<LaneSample> samples;
+  // The half oracle keeps its cycle-0 membership, so members die under it
+  // and the liveness check has stale entries to discount.
+  std::optional<ConvergenceOracle> half_oracle;
+  exp.run([&](std::size_t, const ConvergenceMetrics& m) {
+    const Engine& engine = exp.engine();
+    std::vector<NodeDescriptor> half;
+    std::vector<NodeDescriptor> tiny;
+    for (const Address a : engine.alive_addresses()) {
+      if (a % 2 == 0) half.push_back(engine.descriptor_of(a));
+      if (tiny.size() < 3) tiny.push_back(engine.descriptor_of(a));
+    }
+    if (!half_oracle) half_oracle.emplace(engine, half, cfg.bootstrap, exp.bootstrap_slot());
+    const ConvergenceOracle tiny_oracle(engine, tiny, cfg.bootstrap, exp.bootstrap_slot());
+    samples.push_back({m, half_oracle->measure(/*check_liveness=*/true),
+                       half_oracle->measure(/*check_liveness=*/false),
+                       tiny_oracle.measure(/*check_liveness=*/true)});
+  });
+  return samples;
+}
+
+TEST(OracleLanes, MetricsMatchAcrossLaneCounts) {
+  const std::vector<LaneSample> serial = sample_at_lanes(1);
+  ASSERT_EQ(serial.size(), 14u);
+  // Mid-bootstrap under churn: entries are still missing, some are stale.
+  EXPECT_GT(serial.back().full.leaf_present, 0u);
+  EXPECT_FALSE(serial.back().full.converged());
+  EXPECT_LT(serial.back().half_strict.prefix_present, serial.back().half_lax.prefix_present);
+  for (const std::size_t k : {2u, 3u, 4u}) {
+    const std::vector<LaneSample> lanes = sample_at_lanes(k);
+    ASSERT_EQ(lanes.size(), serial.size()) << "K=" << k;
+    for (std::size_t c = 0; c < serial.size(); ++c) {
+      expect_same(lanes[c].full, serial[c].full, "full", k, c);
+      expect_same(lanes[c].half_strict, serial[c].half_strict, "half strict", k, c);
+      expect_same(lanes[c].half_lax, serial[c].half_lax, "half lax", k, c);
+      expect_same(lanes[c].tiny, serial[c].tiny, "tiny", k, c);
+    }
   }
 }
 
