@@ -233,7 +233,7 @@ TEST(HotPathEquivalence, LeafSetBoundedUpdateMatchesUnboundedSelection) {
       std::vector<NodeId> pool;
       for (std::size_t i = 0; i < n_succ; ++i) pool.push_back(own + 1 + rng.below(1u << 12));
       for (std::size_t i = 0; i < n_pred; ++i) pool.push_back(own - 1 - rng.below(1u << 12));
-      // One address per ID as a default; the message builder rebinds some.
+      // One address per ID as a default; some messages rebind it below.
       const auto addr_of = [](NodeId id) { return static_cast<Address>(100 + (id & 0xFF)); };
       LeafSet ls(own, c);
       for (std::size_t step = 0; step < 300; ++step) {
